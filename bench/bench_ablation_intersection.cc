@@ -61,9 +61,11 @@ struct EnumFixture {
   double Run(PaperQuery pq, bool intersect) {
     Graph query = MakePaperQuery(pq);
     auto pre = Preprocess(dataset.graph, nlc, query, PreprocessOptions{});
+    BuildOptions build_options;
+    build_options.verdicts = &pre->verdicts;
     CeciBuilder builder(dataset.graph, nlc);
     CeciIndex index =
-        builder.Build(query, pre->tree, BuildOptions{}, nullptr);
+        builder.Build(query, pre->tree, build_options, nullptr);
     RefineCeci(pre->tree, dataset.graph.num_vertices(), &index, nullptr);
     SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
     ScheduleOptions options;

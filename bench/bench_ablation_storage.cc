@@ -28,9 +28,11 @@ int main() {
   for (PaperQuery pq : kAllPaperQueries) {
     Graph query = MakePaperQuery(pq);
     auto pre = Preprocess(d.graph, nlc, query, PreprocessOptions{});
+    BuildOptions build_options;
+    build_options.verdicts = &pre->verdicts;
     CeciBuilder builder(d.graph, nlc);
     CeciIndex mutable_index =
-        builder.Build(query, pre->tree, BuildOptions{}, nullptr);
+        builder.Build(query, pre->tree, build_options, nullptr);
     RefineCeci(pre->tree, d.graph.num_vertices(), &mutable_index, nullptr);
     SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
     ScheduleOptions options;

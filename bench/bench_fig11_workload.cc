@@ -40,8 +40,10 @@ int main() {
     for (PaperQuery pq : queries) {
       Graph query = MakePaperQuery(pq);
       auto pre = Preprocess(d.graph, nlc, query, PreprocessOptions{});
+      BuildOptions build_options;
+      build_options.verdicts = &pre->verdicts;
       CeciBuilder builder(d.graph, nlc);
-      CeciIndex index = builder.Build(query, pre->tree, BuildOptions{},
+      CeciIndex index = builder.Build(query, pre->tree, build_options,
                                       nullptr);
       RefineCeci(pre->tree, d.graph.num_vertices(), &index, nullptr);
       SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);

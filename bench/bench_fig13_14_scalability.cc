@@ -26,8 +26,10 @@ double CeciMakespan(const Graph& data, const NlcIndex& nlc,
                     const Graph& query, std::size_t threads,
                     std::uint64_t* count) {
   auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  BuildOptions build_options;
+  build_options.verdicts = &pre->verdicts;
   CeciBuilder builder(data, nlc);
-  CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
+  CeciIndex index = builder.Build(query, pre->tree, build_options, nullptr);
   RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
   SymmetryConstraints symmetry = SymmetryConstraints::Compute(query);
   ScheduleOptions options;

@@ -40,7 +40,7 @@ int main() {
                       ? 100.0 * work / (kThreads * makespan)
                       : 0.0;
     double sim_total = s.preprocess_seconds + s.build_seconds +
-                       s.refine_seconds + makespan;
+                       s.refine_seconds + s.freeze_seconds + makespan;
     double share = sim_total > 0 ? 100.0 * makespan / sim_total : 0.0;
     std::printf("%-4s %11s %11s %11s %11s %9.1f%% %9.1f%%\n",
                 PaperQueryName(pq).c_str(),

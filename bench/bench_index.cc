@@ -59,9 +59,11 @@ BytesReport MeasureBytes(const ceci::Graph& data, const ceci::Graph& query) {
   auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
   BytesReport r;
   if (!pre.ok() || pre->infeasible) return r;
+  BuildOptions build_options;
+  build_options.verdicts = &pre->verdicts;
   CeciBuilder builder(data, nlc);
   BuildStats bstats;
-  CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, &bstats);
+  CeciIndex index = builder.Build(query, pre->tree, build_options, &bstats);
   RefineStats rstats;
   RefineCeci(pre->tree, data.num_vertices(), &index, &rstats);
   r.mutable_measured = index.MeasuredHeapBytes();

@@ -37,8 +37,10 @@ int main() {
   NlcIndex nlc(data);
   auto pre = Preprocess(data, nlc, *query, PreprocessOptions{});
   CECI_CHECK(pre.ok());
+  BuildOptions build_options;
+  build_options.verdicts = &pre->verdicts;
   CeciBuilder builder(data, nlc);
-  CeciIndex index = builder.Build(*query, pre->tree, BuildOptions{}, nullptr);
+  CeciIndex index = builder.Build(*query, pre->tree, build_options, nullptr);
   RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
   double build_s = build_timer.Seconds();
 

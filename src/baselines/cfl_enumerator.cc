@@ -157,6 +157,7 @@ class CflMatcher::Impl {
     // CPI: TE candidates only.
     BuildOptions build_options;
     build_options.build_nte_lists = false;
+    build_options.verdicts = &pre->verdicts;
     CeciBuilder builder(data_, nlc_);
     CeciIndex index = builder.Build(query, pre->tree, build_options, nullptr);
     RefineCeci(pre->tree, data_.num_vertices(), &index, nullptr);

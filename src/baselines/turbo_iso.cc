@@ -48,7 +48,8 @@ class TurboIsoEngine {
                     : SymmetryConstraints::None(query_.num_vertices());
 
     std::vector<VertexId> starts =
-        CollectCandidates(data_, nlc_, query_, tree_.root());
+        PassingCandidates(data_, query_, pre->verdicts, tree_.root());
+    pre->verdicts = FilterVerdicts{};  // the search filters on its own
     region_.assign(query_.num_vertices(), CandidateList{});
     region_candidates_.assign(query_.num_vertices(), {});
     for (VertexId v_s : starts) {

@@ -111,6 +111,7 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
       BuildOptions build_options;
       build_options.pool = options.pool;
       build_options.budget = budget;
+      build_options.verdicts = &fresh->pre.verdicts;
       CeciBuilder builder(data_, nlc_);
       fresh->index =
           builder.Build(query, fresh->pre.tree, build_options, &stats.build);
@@ -141,7 +142,9 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
           fresh->index.pivots(fresh->pre.tree).size();
       stats.total_cardinality = stats.refine.total_cardinality;
       if (options.flat_index) {
+        phase.Reset();
         fresh->flat = FlatCeciIndex::Build(fresh->index, fresh->pre.tree);
+        stats.freeze_seconds = phase.Seconds();
         fresh->use_flat = true;
         fresh->index = CeciIndex();  // the cache keeps only the arena
         stats.flat_bytes = fresh->flat.ArenaBytes();
@@ -149,6 +152,8 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
         stats.flat_bitmap_entries = fresh->flat.BitmapEntries();
       }
     }
+    // Build consumed the verdict table; an infeasible query never built.
+    fresh->pre.verdicts = FilterVerdicts{};
     {
       MutexLock lock(mutex_);
       ++misses_;
@@ -211,6 +216,7 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
   result.stats.total_seconds = result.stats.preprocess_seconds +
                                result.stats.build_seconds +
                                result.stats.refine_seconds +
+                               result.stats.freeze_seconds +
                                result.stats.enumerate_seconds;
   return result;
 }
@@ -233,6 +239,7 @@ Status CachedMatcher::InstallPrebuilt(const std::string& path,
   auto pre = Preprocess(data_, nlc_, *query, PreprocessOptions{});
   if (!pre.ok()) return pre.status();
   fresh->pre = std::move(pre).value();
+  fresh->pre.verdicts = FilterVerdicts{};  // nothing is built here
   if (fresh->pre.infeasible) {
     return Status::InvalidArgument(
         "prebuilt index pattern is infeasible on this data graph: " + path);

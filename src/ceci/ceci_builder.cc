@@ -27,6 +27,12 @@ struct ExpansionBin {
 // ~1k adjacency scans per worker.
 constexpr std::uint64_t kBuildPollStride = 1024;
 
+// Builder states of a verdict byte beyond the four FilterVerdict values:
+// a candidate of the query vertex (a TE value, or a root pivot), and a
+// former candidate removed by a cascade. Only kMember means membership.
+constexpr std::uint8_t kMember = 4;
+constexpr std::uint8_t kRemoved = 5;
+
 }  // namespace
 
 CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
@@ -41,20 +47,29 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
   const std::size_t nd = data_.num_vertices();
   CeciIndex index(nq);
 
-  std::vector<std::vector<NlcIndex::Entry>> profiles(nq);
-  for (VertexId u = 0; u < nq; ++u) {
-    profiles[u] = NlcIndex::Profile(query, u);
+  // The verdict table becomes the candidate-membership table that drives
+  // the cascading deletions; it dies when Build returns.
+  FilterVerdicts computed;
+  FilterVerdicts* verdicts = options.verdicts;
+  if (verdicts == nullptr) {
+    computed = ComputeFilterVerdicts(data_, nlc_, query, nullptr);
+    verdicts = &computed;
   }
-  // Candidate-set membership flags; drive the cascading deletions.
-  std::vector<std::vector<char>> alive(nq, std::vector<char>(nd, 0));
+  CECI_CHECK(verdicts->num_data_vertices == nd &&
+             verdicts->bytes.size() == nq * nd)
+      << "verdict table does not fit this (data, query) pair";
 
   const VertexId root = tree.root();
   if (options.root_candidates != nullptr) {
     index.at(root).candidates = *options.root_candidates;
   } else {
-    index.at(root).candidates = CollectCandidates(data_, nlc_, query, root);
+    index.at(root).candidates =
+        PassingCandidates(data_, query, *verdicts, root);
   }
-  for (VertexId v : index.at(root).candidates) alive[root][v] = 1;
+  std::vector<std::uint8_t> alive = std::move(verdicts->bytes);
+  *verdicts = FilterVerdicts{};
+  auto row = [&](VertexId u) { return alive.data() + u * nd; };
+  for (VertexId v : index.at(root).candidates) row(root)[v] = kMember;
 
   BudgetTracker* budget = options.budget;
   if (budget != nullptr) {
@@ -74,25 +89,29 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
     options.vertex_stats->push_back(root_stats);
   }
 
-  // Expands one frontier vertex of u through LF / DF / NLCF.
+  // Expands one frontier vertex of u: one verdict byte per neighbour.
+  // u's row holds only FilterVerdict values here — membership marks for u
+  // are set after its expansion, and cascades touch built vertices only.
   auto expand_te = [&](VertexId u, VertexId v_f, std::vector<VertexId>* vals,
                        BuildStats* s) {
     ++s->frontier_expansions;
     s->neighbors_scanned += data_.degree(v_f);
+    const std::uint8_t* verdict = row(u);
     for (VertexId v : data_.neighbors(v_f)) {
-      if (!data_.HasAllLabels(v, query.labels(u))) {
-        ++s->rejected_label;
-        continue;
+      switch (static_cast<FilterVerdict>(verdict[v])) {
+        case FilterVerdict::kPass:
+          vals->push_back(v);  // neighbors are sorted, so vals is sorted
+          break;
+        case FilterVerdict::kRejectLabel:
+          ++s->rejected_label;
+          break;
+        case FilterVerdict::kRejectDegree:
+          ++s->rejected_degree;
+          break;
+        case FilterVerdict::kRejectNlc:
+          ++s->rejected_nlc;
+          break;
       }
-      if (data_.degree(v) < query.degree(u)) {
-        ++s->rejected_degree;
-        continue;
-      }
-      if (!nlc_.Covers(v, profiles[u])) {
-        ++s->rejected_nlc;
-        continue;
-      }
-      vals->push_back(v);  // neighbors are sorted, so vals is sorted
     }
   };
 
@@ -104,17 +123,18 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
   auto cascade_remove = [&](VertexId u_owner,
                             const std::vector<VertexId>& dead) {
     if (dead.empty()) return;
-    for (VertexId v : dead) alive[u_owner][v] = 0;
+    std::uint8_t* owner = row(u_owner);
+    for (VertexId v : dead) owner[v] = kRemoved;
     auto& cands = index.at(u_owner).candidates;
     cands.erase(std::remove_if(cands.begin(), cands.end(),
                                [&](VertexId v) {
-                                 return !alive[u_owner][v];
+                                 return owner[v] != kMember;
                                }),
                 cands.end());
     for (VertexId u_c : tree.children(u_owner)) {
       if (!processed[u_c]) continue;
       index.at(u_c).te.Prune(
-          [&](VertexId key) { return alive[u_owner][key] != 0; },
+          [&](VertexId key) { return owner[key] == kMember; },
           [](VertexId) { return true; });
     }
     // NTE lists built earlier whose parent is u_owner also key by it.
@@ -125,7 +145,7 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
       for (std::size_t k = 0; k < ids.size(); ++k) {
         if (ids[k] == e) {
           index.at(u_c).nte[k].Prune(
-              [&](VertexId key) { return alive[u_owner][key] != 0; },
+              [&](VertexId key) { return owner[key] == kMember; },
               [](VertexId) { return true; });
         }
       }
@@ -215,17 +235,18 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
     }
 
     // Candidate set of u = union of TE values.
+    std::uint8_t* member = row(u);
     for (std::size_t i = 0; i < ud.te.num_keys(); ++i) {
       for (VertexId v : ud.te.values_at(i)) {
-        if (!alive[u][v]) {
-          alive[u][v] = 1;
+        if (member[v] != kMember) {
+          member[v] = kMember;
           ud.candidates.push_back(v);
         }
       }
     }
     std::sort(ud.candidates.begin(), ud.candidates.end());
-    // Candidates were deduped through the alive flags, so sorting makes
-    // them strictly ascending — the property every binary search and
+    // Candidates were deduped through the membership marks, so sorting
+    // makes them strictly ascending — the property every binary search and
     // intersection downstream depends on.
     CECI_DCHECK(std::adjacent_find(ud.candidates.begin(),
                                    ud.candidates.end()) ==
@@ -261,7 +282,7 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
         ++stats->frontier_expansions;
         stats->neighbors_scanned += data_.degree(v_n);
         for (VertexId v : data_.neighbors(v_n)) {
-          if (alive[u][v]) vals.push_back(v);
+          if (member[v] == kMember) vals.push_back(v);
         }
         if (vals.empty()) {
           dead_nte.push_back(v_n);

@@ -6,15 +6,17 @@
 // degree (DF), neighborhood label count (NLCF), and the empty-key cascade
 // (a frontier vertex whose expansion yields no candidates can match no
 // embedding and is removed from the parent, together with its key entries
-// in sibling lists). NTE candidate lists are then built for every non-tree
-// edge by expanding the NTE parent's candidates against the child's
-// candidate set.
+// in sibling lists). The first three are read off the verdict table that
+// preprocessing computed, one byte per (query vertex, data vertex). NTE
+// candidate lists are then built for every non-tree edge by expanding the
+// NTE parent's candidates against the child's candidate set.
 #ifndef CECI_CECI_CECI_BUILDER_H_
 #define CECI_CECI_CECI_BUILDER_H_
 
 #include <cstdint>
 
 #include "ceci/ceci_index.h"
+#include "ceci/preprocess.h"
 #include "ceci/query_tree.h"
 #include "graph/graph.h"
 #include "graph/nlc_index.h"
@@ -40,6 +42,12 @@ struct BuildOptions {
   /// distributed runtime (§5) builds a per-machine CECI over the pivots
   /// assigned to that machine.
   const std::vector<VertexId>* root_candidates = nullptr;
+  /// LF/DF/NLCF verdicts from Preprocess (Preprocessed::verdicts). Build
+  /// takes the table over as its working candidate-membership table and
+  /// leaves it empty, so the filters run once per (query vertex, data
+  /// vertex) and an expanded neighbour costs one byte load. Null: Build
+  /// computes the table itself with ComputeFilterVerdicts.
+  FilterVerdicts* verdicts = nullptr;
   /// When set, one record per matching-order vertex (root first) is
   /// appended: the candidate count right after that vertex's TE expansion
   /// and union, and the per-filter rejection deltas that produced it. The

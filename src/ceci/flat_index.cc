@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 
 #include "util/bitmap.h"
@@ -34,12 +35,10 @@ bool UseBitmap(std::uint32_t words, std::size_t count) {
              count * sizeof(std::uint32_t);
 }
 
-std::uint32_t RankOf(std::span<const VertexId> candidates, VertexId v) {
-  auto it = std::lower_bound(candidates.begin(), candidates.end(), v);
-  CECI_CHECK(it != candidates.end() && *it == v)
-      << "flat freeze: value v" << v
-      << " is not an alive candidate of its child vertex (refine first)";
-  return static_cast<std::uint32_t>(it - candidates.begin());
+// A slab's elements, typed, for writing during the freeze.
+template <typename T>
+T* SlabData(std::byte* base, const FlatCeciIndex::Slab& slab) {
+  return reinterpret_cast<T*>(base + slab.offset);
 }
 
 }  // namespace
@@ -48,86 +47,42 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
                                    const QueryTree& tree) {
   const std::size_t nq = index.num_query_vertices();
   CECI_CHECK(nq == tree.num_vertices());
+  const VertexId root = tree.root();
 
-  // Stage the slab contents in plain vectors, then copy them into one
-  // arena. (Transient 2x memory during the freeze; the mutable index being
-  // converted is larger than either.)
-  std::vector<FlatVertexMeta> vmeta(nq);
-  std::vector<VertexId> order(tree.matching_order().begin(),
-                              tree.matching_order().end());
-  std::vector<VertexId> cands;
-  std::vector<Cardinality> cards;
-  std::vector<FlatListMeta> lmeta;
-  std::vector<VertexId> keys;
-  std::vector<FlatEntry> entries;
-  std::vector<std::uint32_t> array_pool;
-  std::vector<std::uint64_t> bitmap_pool;
-
+  // Pass 1: count every slab. The hybrid rule depends on value-set sizes
+  // only, so the whole layout is known before any rank is computed.
+  std::size_t counts[kNumSlabs] = {};
+  counts[kVertexMeta] = nq;
+  counts[kOrder] = tree.matching_order().size();
+  VertexId max_candidate = 0;
   for (VertexId u = 0; u < nq; ++u) {
     const CeciVertexData& ud = index.at(u);
-    FlatVertexMeta& m = vmeta[u];
-    m.cand_begin = static_cast<std::uint32_t>(cands.size());
-    m.cand_count = static_cast<std::uint32_t>(ud.candidates.size());
-    m.bitmap_words =
-        static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
-    cands.insert(cands.end(), ud.candidates.begin(), ud.candidates.end());
-    if (ud.cardinalities.size() == ud.candidates.size()) {
-      cards.insert(cards.end(), ud.cardinalities.begin(),
-                   ud.cardinalities.end());
-    } else {
-      // Unrefined cardinalities: keep the parallel slab shape with zeros.
-      cards.resize(cards.size() + ud.candidates.size(), 0);
+    counts[kCandidates] += ud.candidates.size();
+    if (!ud.candidates.empty()) {
+      max_candidate = std::max(max_candidate, ud.candidates.back());
     }
-
-    const std::span<const VertexId> child_cands(ud.candidates);
-    auto append_list = [&](const CandidateList& list) {
-      FlatListMeta lm;
-      lm.key_begin = static_cast<std::uint32_t>(keys.size());
-      lm.key_count = static_cast<std::uint32_t>(list.num_keys());
-      lm.entry_begin = static_cast<std::uint32_t>(entries.size());
-      lm.owner = u;
+    const auto words =
+        static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
+    auto count_list = [&](const CandidateList& list) {
+      ++counts[kListMeta];
+      counts[kKeys] += list.num_keys();
       for (std::size_t i = 0; i < list.num_keys(); ++i) {
-        keys.push_back(list.keys()[i]);
-        const std::span<const VertexId> values = list.values_at(i);
-        FlatEntry e;
-        if (UseBitmap(m.bitmap_words, values.size())) {
-          e.offset = static_cast<std::uint32_t>(bitmap_pool.size());
-          e.count_and_tag = static_cast<std::uint32_t>(values.size()) |
-                            FlatEntry::kBitmapTag;
-          bitmap_pool.resize(bitmap_pool.size() + m.bitmap_words, 0);
-          const std::span<std::uint64_t> bits(
-              bitmap_pool.data() + e.offset, m.bitmap_words);
-          for (VertexId v : values) {
-            const std::uint32_t r = RankOf(child_cands, v);
-            bits[r >> 6] |= std::uint64_t{1} << (r & 63);
-          }
+        const std::size_t n = list.values_at(i).size();
+        if (UseBitmap(words, n)) {
+          counts[kBitmapPool] += words;
         } else {
-          e.offset = static_cast<std::uint32_t>(array_pool.size());
-          e.count_and_tag = static_cast<std::uint32_t>(values.size());
-          for (VertexId v : values) {
-            array_pool.push_back(RankOf(child_cands, v));
-          }
+          counts[kArrayPool] += n;
         }
-        entries.push_back(e);
       }
-      const auto list_index = static_cast<std::uint32_t>(lmeta.size());
-      lmeta.push_back(lm);
-      return list_index;
     };
-
-    m.te_list = u == tree.root() ? kNoFlatList : append_list(ud.te);
-    m.nte_begin = static_cast<std::uint32_t>(lmeta.size());
-    m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
-    for (const CandidateList& list : ud.nte) append_list(list);
+    if (u != root) count_list(ud.te);
+    for (const CandidateList& list : ud.nte) count_list(list);
   }
+  counts[kCardinalities] = counts[kCandidates];
+  counts[kEntries] = counts[kKeys];
 
-  // Lay the slabs out back to back, each 8-aligned.
+  // Lay the slabs out back to back, each 8-aligned, in one zeroed arena.
   FlatCeciIndex flat;
-  const std::size_t counts[kNumSlabs] = {
-      vmeta.size(),   order.size(),   cands.size(),
-      cards.size(),   lmeta.size(),   keys.size(),
-      entries.size(), array_pool.size(), bitmap_pool.size(),
-  };
   std::uint64_t offset = 0;
   for (std::size_t s = 0; s < kNumSlabs; ++s) {
     flat.slabs_[s].offset = offset;
@@ -139,21 +94,88 @@ FlatCeciIndex FlatCeciIndex::Build(const CeciIndex& index,
   auto* base = reinterpret_cast<std::byte*>(flat.owned_.data());
   flat.arena_ = base;
 
-  auto copy_slab = [&](SlabKind kind, const void* src) {
-    if (flat.slabs_[kind].bytes > 0) {
-      std::memcpy(base + flat.slabs_[kind].offset, src,
-                  flat.slabs_[kind].bytes);
+  auto* vmeta = SlabData<FlatVertexMeta>(base, flat.slabs_[kVertexMeta]);
+  auto* cands = SlabData<VertexId>(base, flat.slabs_[kCandidates]);
+  auto* cards = SlabData<Cardinality>(base, flat.slabs_[kCardinalities]);
+  auto* lmeta = SlabData<FlatListMeta>(base, flat.slabs_[kListMeta]);
+  auto* keys = SlabData<VertexId>(base, flat.slabs_[kKeys]);
+  auto* entries = SlabData<FlatEntry>(base, flat.slabs_[kEntries]);
+  auto* array_pool = SlabData<std::uint32_t>(base, flat.slabs_[kArrayPool]);
+  auto* bitmap_pool = SlabData<std::uint64_t>(base, flat.slabs_[kBitmapPool]);
+  std::copy(tree.matching_order().begin(), tree.matching_order().end(),
+            SlabData<VertexId>(base, flat.slabs_[kOrder]));
+
+  // Pass 2: write each value once, straight into its slab. rank_of maps a
+  // data vertex to its rank among the current owner's candidates; slots of
+  // other owners' candidates go stale, so every lookup is confirmed
+  // against the candidate array.
+  std::vector<std::uint32_t> rank_of(std::size_t{max_candidate} + 1, 0);
+  std::uint32_t cand_at = 0;
+  std::uint32_t list_at = 0;
+  std::uint32_t key_at = 0;
+  std::uint32_t array_at = 0;
+  std::uint32_t bitmap_at = 0;
+  for (VertexId u = 0; u < nq; ++u) {
+    const CeciVertexData& ud = index.at(u);
+    FlatVertexMeta& m = vmeta[u];
+    m.cand_begin = cand_at;
+    m.cand_count = static_cast<std::uint32_t>(ud.candidates.size());
+    m.bitmap_words =
+        static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
+    std::copy(ud.candidates.begin(), ud.candidates.end(), cands + cand_at);
+    // Unrefined cardinalities keep the parallel slab shape with zeros.
+    if (ud.cardinalities.size() == ud.candidates.size()) {
+      std::copy(ud.cardinalities.begin(), ud.cardinalities.end(),
+                cards + cand_at);
     }
-  };
-  copy_slab(kVertexMeta, vmeta.data());
-  copy_slab(kOrder, order.data());
-  copy_slab(kCandidates, cands.data());
-  copy_slab(kCardinalities, cards.data());
-  copy_slab(kListMeta, lmeta.data());
-  copy_slab(kKeys, keys.data());
-  copy_slab(kEntries, entries.data());
-  copy_slab(kArrayPool, array_pool.data());
-  copy_slab(kBitmapPool, bitmap_pool.data());
+    cand_at += m.cand_count;
+
+    const std::span<const VertexId> child_cands(ud.candidates);
+    for (std::uint32_t r = 0; r < child_cands.size(); ++r) {
+      rank_of[child_cands[r]] = r;
+    }
+    auto rank = [&](VertexId v) {
+      const std::uint32_t r = v < rank_of.size() ? rank_of[v] : m.cand_count;
+      CECI_CHECK(r < child_cands.size() && child_cands[r] == v)
+          << "flat freeze: value v" << v
+          << " is not an alive candidate of its child vertex (refine first)";
+      return r;
+    };
+    auto write_list = [&](const CandidateList& list) {
+      FlatListMeta& lm = lmeta[list_at];
+      lm.key_begin = key_at;
+      lm.key_count = static_cast<std::uint32_t>(list.num_keys());
+      lm.entry_begin = key_at;  // the entry slab runs parallel to the keys
+      lm.owner = u;
+      std::copy(list.keys().begin(), list.keys().end(), keys + key_at);
+      for (std::size_t i = 0; i < list.num_keys(); ++i) {
+        const std::span<const VertexId> values = list.values_at(i);
+        FlatEntry& e = entries[key_at + i];
+        if (UseBitmap(m.bitmap_words, values.size())) {
+          e.offset = bitmap_at;
+          e.count_and_tag = static_cast<std::uint32_t>(values.size()) |
+                            FlatEntry::kBitmapTag;
+          std::uint64_t* bits = bitmap_pool + bitmap_at;
+          for (VertexId v : values) {
+            const std::uint32_t r = rank(v);
+            bits[r >> 6] |= std::uint64_t{1} << (r & 63);
+          }
+          bitmap_at += m.bitmap_words;
+        } else {
+          e.offset = array_at;
+          e.count_and_tag = static_cast<std::uint32_t>(values.size());
+          for (VertexId v : values) array_pool[array_at++] = rank(v);
+        }
+      }
+      key_at += lm.key_count;
+      return list_at++;
+    };
+
+    m.te_list = u == root ? kNoFlatList : write_list(ud.te);
+    m.nte_begin = list_at;
+    m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
+    for (const CandidateList& list : ud.nte) write_list(list);
+  }
 
   flat.BindSpans();
   return flat;

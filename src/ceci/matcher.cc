@@ -134,7 +134,9 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
                                   : SymmetryConstraints::None(
                                         query.num_vertices());
   stats.automorphisms_broken = symmetry.automorphism_count();
-  stats.preprocess_seconds = phase.Seconds();
+  // Phases are consecutive laps of one stopwatch, so they partition the
+  // match: the bookkeeping between two phases counts toward the next one.
+  stats.preprocess_seconds = phase.Lap();
 
   // Initial poll: an already-cancelled token or pre-expired deadline
   // stops the query before any index work starts.
@@ -162,7 +164,6 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   }
 
   // --- CECI creation + BFS filtering (§3.2) ---
-  phase.Reset();
   ThreadPool* pool = options.pool;
   std::unique_ptr<ThreadPool> owned_pool;
   if (pool == nullptr && options.threads > 1) {
@@ -172,6 +173,7 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   BuildOptions build_options;
   build_options.pool = pool;
   build_options.budget = budget;
+  build_options.verdicts = &pre->verdicts;
   std::vector<BuildVertexStats> vertex_stats;
   if (options.profile) build_options.vertex_stats = &vertex_stats;
   CeciBuilder builder(data_, nlc_);
@@ -179,7 +181,7 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
     TraceSpan span("build");
     return builder.Build(query, pre->tree, build_options, &stats.build);
   }();
-  stats.build_seconds = phase.Seconds();
+  stats.build_seconds = phase.Lap();
   stats.ceci_bytes_unrefined = index.MemoryBytes();
   stats.candidate_edges_unrefined = index.TotalCandidateEdges();
   if (budget != nullptr && budget->Exhausted()) {
@@ -203,7 +205,6 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   }
 
   // --- Reverse-BFS refinement (§3.3) ---
-  phase.Reset();
   std::vector<std::uint64_t> pruned_per_vertex;
   {
     TraceSpan span("refine");
@@ -213,7 +214,7 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
       index.Freeze();  // CSR-flat lists for the enumeration hot path
     }
   }
-  stats.refine_seconds = phase.Seconds();
+  stats.refine_seconds = phase.Lap();
   if (budget != nullptr && budget->Exhausted()) {
     // Semi-refined index: cardinalities are incomplete, so neither the
     // inspector nor the enumerator may consume it.
@@ -236,6 +237,7 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
     stats.flat_bytes = flat.ArenaBytes();
     stats.flat_array_entries = flat.ArrayEntries();
     stats.flat_bitmap_entries = flat.BitmapEntries();
+    stats.freeze_seconds = phase.Lap();
     if (budget != nullptr) {
       budget->ChargeBytes(flat.ArenaBytes());
       if (budget->Poll()) {
@@ -247,7 +249,6 @@ Result<MatchResult> CeciMatcher::Match(const Graph& query,
   }
 
   // --- Parallel enumeration (§4) ---
-  phase.Reset();
   ScheduleOptions schedule;
   schedule.threads = options.threads;
   schedule.distribution = options.distribution;

@@ -22,25 +22,48 @@ Label ScanLabel(const Graph& data, const Graph& query, VertexId u) {
   return best;
 }
 
-// Applies the label containment, degree, and NLC filters.
-bool PassesFilters(const Graph& data, const NlcIndex& data_nlc,
-                   const Graph& query, VertexId u,
-                   std::span<const NlcIndex::Entry> u_profile, VertexId v) {
-  if (data.degree(v) < query.degree(u)) return false;
-  if (!data.HasAllLabels(v, query.labels(u))) return false;
-  return data_nlc.Covers(v, u_profile);
+// The one implementation of the filters: label containment, degree, NLC,
+// in that order. `v` comes from u's scan-label bucket, so it already
+// carries u's label when u has only one.
+FilterVerdict Verdict(const Graph& data, const NlcIndex& data_nlc,
+                      const Graph& query, VertexId u,
+                      std::span<const NlcIndex::Entry> u_profile, VertexId v) {
+  const std::span<const Label> need = query.labels(u);
+  if (need.size() > 1 && !data.HasAllLabels(v, need)) {
+    return FilterVerdict::kRejectLabel;
+  }
+  if (data.degree(v) < query.degree(u)) return FilterVerdict::kRejectDegree;
+  if (!data_nlc.Covers(v, u_profile)) return FilterVerdict::kRejectNlc;
+  return FilterVerdict::kPass;
 }
 
 }  // namespace
 
-std::size_t CountCandidates(const Graph& data, const NlcIndex& data_nlc,
-                            const Graph& query, VertexId u) {
-  auto profile = NlcIndex::Profile(query, u);
-  std::size_t count = 0;
-  for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
-    if (PassesFilters(data, data_nlc, query, u, profile, v)) ++count;
+FilterVerdicts ComputeFilterVerdicts(const Graph& data,
+                                     const NlcIndex& data_nlc,
+                                     const Graph& query,
+                                     std::vector<std::size_t>* pass_counts) {
+  static_assert(static_cast<std::uint8_t>(FilterVerdict::kRejectLabel) == 0,
+                "the zero-filled table starts as all label rejections");
+  const std::size_t nq = query.num_vertices();
+  const std::size_t nd = data.num_vertices();
+  FilterVerdicts out;
+  out.num_data_vertices = nd;
+  out.bytes.resize(nq * nd);
+  if (pass_counts != nullptr) pass_counts->assign(nq, 0);
+  for (VertexId u = 0; u < nq; ++u) {
+    const auto profile = NlcIndex::Profile(query, u);
+    std::uint8_t* row = out.bytes.data() + u * nd;
+    std::size_t passed = 0;
+    for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
+      const FilterVerdict verdict =
+          Verdict(data, data_nlc, query, u, profile, v);
+      row[v] = static_cast<std::uint8_t>(verdict);
+      if (verdict == FilterVerdict::kPass) ++passed;
+    }
+    if (pass_counts != nullptr) (*pass_counts)[u] = passed;
   }
-  return count;
+  return out;
 }
 
 std::vector<VertexId> CollectCandidates(const Graph& data,
@@ -49,11 +72,26 @@ std::vector<VertexId> CollectCandidates(const Graph& data,
   auto profile = NlcIndex::Profile(query, u);
   std::vector<VertexId> out;
   for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
-    if (PassesFilters(data, data_nlc, query, u, profile, v)) {
+    if (Verdict(data, data_nlc, query, u, profile, v) ==
+        FilterVerdict::kPass) {
       out.push_back(v);
     }
   }
   // Label buckets are sorted by vertex id, so `out` is already sorted.
+  return out;
+}
+
+std::vector<VertexId> PassingCandidates(const Graph& data, const Graph& query,
+                                        const FilterVerdicts& verdicts,
+                                        VertexId u) {
+  CECI_CHECK(verdicts.num_data_vertices == data.num_vertices() &&
+             verdicts.bytes.size() ==
+                 query.num_vertices() * data.num_vertices())
+      << "verdict table does not fit this (data, query) pair";
+  std::vector<VertexId> out;
+  for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
+    if (verdicts.at(u, v) == FilterVerdict::kPass) out.push_back(v);
+  }
   return out;
 }
 
@@ -65,11 +103,11 @@ Result<Preprocessed> Preprocess(const Graph& data, const NlcIndex& data_nlc,
   }
   Preprocessed out;
   const std::size_t nq = query.num_vertices();
-  out.candidate_counts.resize(nq);
-  for (VertexId u = 0; u < nq; ++u) {
-    out.candidate_counts[u] = CountCandidates(data, data_nlc, query, u);
-    if (out.candidate_counts[u] == 0) out.infeasible = true;
-  }
+  out.verdicts =
+      ComputeFilterVerdicts(data, data_nlc, query, &out.candidate_counts);
+  out.infeasible = std::find(out.candidate_counts.begin(),
+                             out.candidate_counts.end(),
+                             0) != out.candidate_counts.end();
 
   // Root selection (§2.2): argmin |candidate(u)| / degree(u). Isolated
   // query vertices are rejected by QueryTree::Build (disconnected query).

@@ -23,6 +23,8 @@ struct MatchStats {
   double preprocess_seconds = 0.0;
   double build_seconds = 0.0;
   double refine_seconds = 0.0;
+  /// FlatCeciIndex::Build (zero when MatchOptions::flat_index is off).
+  double freeze_seconds = 0.0;
   double enumerate_seconds = 0.0;
   double total_seconds = 0.0;
 

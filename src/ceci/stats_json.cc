@@ -15,6 +15,7 @@ void AppendMatchStatsJson(const MatchStats& stats, JsonWriter* w) {
   w->KV("preprocess_seconds", stats.preprocess_seconds);
   w->KV("build_seconds", stats.build_seconds);
   w->KV("refine_seconds", stats.refine_seconds);
+  w->KV("freeze_seconds", stats.freeze_seconds);
   w->KV("enumerate_seconds", stats.enumerate_seconds);
   w->KV("total_seconds", stats.total_seconds);
   w->EndObject();

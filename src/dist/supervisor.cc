@@ -435,7 +435,7 @@ Result<DistRunReport> RunDistributed(const Graph& data, const Graph& query,
           : SymmetryConstraints::None(query.num_vertices());
   std::vector<VertexId> pivots;
   if (!pre->infeasible) {
-    pivots = CollectCandidates(data, nlc, query, pre->root);
+    pivots = PassingCandidates(data, query, pre->verdicts, pre->root);
   }
   distsim::AssignOptions assign_options;
   assign_options.num_machines = n;
@@ -469,12 +469,17 @@ Result<DistRunReport> RunDistributed(const Graph& data, const Graph& query,
   const std::string pattern_text = FormatPattern(query);
   EnumOptions enum_options;
   enum_options.symmetry = &symmetry;
+  // Every partition builds on its own copy of the coordinator's verdicts
+  // (Build consumes the table it is given).
+  const FilterVerdicts& verdicts = pre->verdicts;
   auto build_fn = [&](std::size_t k) {
     Partition& part = parts[k];
     if (part.pivots.empty()) return;
     Timer build_timer;
+    FilterVerdicts own_verdicts = verdicts;
     BuildOptions build_options;
     build_options.root_candidates = &part.pivots;
+    build_options.verdicts = &own_verdicts;
     CeciBuilder builder(data, nlc);
     CeciIndex index =
         builder.Build(query, pre->tree, build_options, &part.build_stats);
@@ -502,6 +507,7 @@ Result<DistRunReport> RunDistributed(const Graph& data, const Graph& query,
     for (std::size_t k = 0; k < n; ++k) build_threads.emplace_back(build_fn, k);
     for (auto& t : build_threads) t.join();
   }
+  pre->verdicts = FilterVerdicts{};
   for (std::size_t k = 0; k < n; ++k) {
     CECI_RETURN_IF_ERROR(parts[k].status);
     report.build_seconds = std::max(report.build_seconds,

@@ -430,7 +430,7 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
           : SymmetryConstraints::None(query.num_vertices());
   std::vector<VertexId> pivots;
   if (!pre->infeasible) {
-    pivots = CollectCandidates(data, nlc, query, pre->root);
+    pivots = PassingCandidates(data, query, pre->verdicts, pre->root);
   }
 
   AssignOptions assign_options;
@@ -471,6 +471,9 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
   EnumOptions enum_options;
   enum_options.symmetry = &symmetry;
 
+  // Every machine builds on its own copy of the coordinator's verdicts
+  // (Build consumes the table it is given).
+  const FilterVerdicts& verdicts = pre->verdicts;
   auto machine_fn = [&](std::size_t mid) {
     // Lane outlives the span so simulated machines get stable Chrome-trace
     // rows (lane 0 is the coordinator thread; machines start at 1).
@@ -481,8 +484,10 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     if (self.pivots.empty()) return;
 
     const double build_cpu_start = ThreadCpuSeconds();
+    FilterVerdicts own_verdicts = verdicts;
     BuildOptions build_options;
     build_options.root_candidates = &self.pivots;
+    build_options.verdicts = &own_verdicts;
     CeciBuilder builder(data, nlc);
     self.index =
         builder.Build(query, pre->tree, build_options, &self.build_stats);
@@ -541,6 +546,7 @@ Result<DistResult> DistributedMatch(const Graph& data, const Graph& query,
     }
     for (auto& t : machine_threads) t.join();
   }
+  pre->verdicts = FilterVerdicts{};
 
   if (options.failure_plan.active()) {
     ReplayWithFailures(options, &machines);

@@ -597,9 +597,9 @@ int main(int argc, char** argv) {
               TerminationReasonName(result->termination).c_str());
   const MatchStats& s = result->stats;
   std::printf("time: %.3fs (preprocess %.3f, build %.3f, refine %.3f, "
-              "enumerate %.3f)\n",
+              "freeze %.3f, enumerate %.3f)\n",
               s.total_seconds, s.preprocess_seconds, s.build_seconds,
-              s.refine_seconds, s.enumerate_seconds);
+              s.refine_seconds, s.freeze_seconds, s.enumerate_seconds);
   if (args.stats) {
     std::printf("clusters: %zu  cardinality bound: %llu\n",
                 s.embedding_clusters,

@@ -32,6 +32,15 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
+  /// Seconds since construction or the last Reset()/Lap(), restarting the
+  /// stopwatch at the same instant: consecutive laps leave no gap.
+  double Lap() {
+    const Clock::time_point now = Clock::now();
+    const double seconds = std::chrono::duration<double>(now - start_).count();
+    start_ = now;
+    return seconds;
+  }
+
   double Millis() const { return Seconds() * 1e3; }
   std::uint64_t Micros() const {
     return static_cast<std::uint64_t>(Seconds() * 1e6);

@@ -9,6 +9,7 @@
 #include "analysis/invariant_auditor.h"
 #include "ceci/ceci_builder.h"
 #include "ceci/matcher.h"
+#include "ceci/preprocess.h"
 #include "ceci/profiler.h"
 #include "ceci/refinement.h"
 #include "ceci/stats_json.h"
@@ -104,6 +105,33 @@ TEST(CeciBuilderTest, EmptyKeyCascadeRemovesParentCandidate) {
   Pipeline p(data, query, 0);
   EXPECT_EQ(p.index.at(1).candidates, (std::vector<VertexId>{1}));
   EXPECT_GT(p.build_stats.cascade_removals, 0u);
+}
+
+TEST(CeciBuilderTest, FilterTalliesOnAHandCheckedGraph) {
+  // Query u0(A) - u1(B) - u2(C), rooted at u0. Data: a0=0, a1=1 (A);
+  // b1=2, b2=3, b3=4 (B); x=5, c1=6 (C). Expanding u1 from C(u0) = {a0, a1}
+  // scans a0's b1 (pass), b2 (degree 1 < 2), b3 (no C neighbour: NLC), x
+  // (label), and a1's b3 (NLC), so a1 cascades out. Expanding u2 from
+  // {b1} scans a0 (label) and c1 (pass).
+  Graph data = MakeGraph({0, 0, 1, 1, 1, 2, 2},
+                         {{0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 4}, {2, 6}});
+  Graph query = MakeGraph({0, 1, 2}, {{0, 1}, {1, 2}});
+  NlcIndex nlc(data);
+  FilterVerdicts verdicts = ComputeFilterVerdicts(data, nlc, query, nullptr);
+  for (bool reuse : {true, false}) {
+    BuildOptions options;
+    if (reuse) options.verdicts = &verdicts;
+    Pipeline p(data, query, 0, options);
+    EXPECT_EQ(p.build_stats.rejected_label, 2u) << reuse;
+    EXPECT_EQ(p.build_stats.rejected_degree, 1u) << reuse;
+    EXPECT_EQ(p.build_stats.rejected_nlc, 2u) << reuse;
+    EXPECT_EQ(p.build_stats.cascade_removals, 1u) << reuse;
+    EXPECT_EQ(p.build_stats.frontier_expansions, 3u) << reuse;
+    EXPECT_EQ(p.build_stats.neighbors_scanned, 7u) << reuse;
+    EXPECT_EQ(p.index.at(0).candidates, (std::vector<VertexId>{0}));
+    EXPECT_EQ(p.index.at(1).candidates, (std::vector<VertexId>{2}));
+    EXPECT_EQ(p.index.at(2).candidates, (std::vector<VertexId>{6}));
+  }
 }
 
 TEST(CeciBuilderTest, ParallelBuildMatchesSerial) {

@@ -1,9 +1,12 @@
 // FlatCeciIndex unit tests: arena construction from a refined mutable
 // index, the hybrid array/bitmap representation rule, entry decoding,
-// exact byte accounting, cloning, and pointer/flat enumeration agreement.
+// exact byte accounting, cloning, pointer/flat enumeration agreement, and
+// the freeze's byte-exactness against a reference implementation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "ceci/ceci_builder.h"
@@ -13,6 +16,7 @@
 #include "ceci/symmetry.h"
 #include "gen/labels.h"
 #include "gen/paper_queries.h"
+#include "gen/query_gen.h"
 #include "gen/random_graphs.h"
 #include "test_support.h"
 #include "util/bitmap.h"
@@ -261,6 +265,182 @@ TEST(FlatIndexTest, InfeasibleQueryFreezesToEmptySlabs) {
   eo.symmetry = &sym;
   Enumerator e(data, f.tree, f.flat, eo);
   EXPECT_EQ(e.EnumerateAll(nullptr), 0u);
+}
+
+// The freeze as first written: staged slab vectors, each value's rank by
+// binary search over the owner's candidates, then one copy per slab into
+// a zeroed arena. FlatCeciIndex::Build must reproduce its bytes exactly.
+struct ReferenceArena {
+  std::vector<std::byte> bytes;
+  std::vector<FlatCeciIndex::Slab> slabs;
+};
+
+ReferenceArena ReferenceFreeze(const CeciIndex& index, const QueryTree& tree) {
+  const std::size_t nq = index.num_query_vertices();
+  std::vector<FlatVertexMeta> vmeta(nq);
+  const std::vector<VertexId> order(tree.matching_order().begin(),
+                                    tree.matching_order().end());
+  std::vector<VertexId> cands;
+  std::vector<Cardinality> cards;
+  std::vector<FlatListMeta> lmeta;
+  std::vector<VertexId> keys;
+  std::vector<FlatEntry> entries;
+  std::vector<std::uint32_t> array_pool;
+  std::vector<std::uint64_t> bitmap_pool;
+  for (VertexId u = 0; u < nq; ++u) {
+    const CeciVertexData& ud = index.at(u);
+    FlatVertexMeta& m = vmeta[u];
+    m.cand_begin = static_cast<std::uint32_t>(cands.size());
+    m.cand_count = static_cast<std::uint32_t>(ud.candidates.size());
+    m.bitmap_words =
+        static_cast<std::uint32_t>(BitmapWords(ud.candidates.size()));
+    cands.insert(cands.end(), ud.candidates.begin(), ud.candidates.end());
+    if (ud.cardinalities.size() == ud.candidates.size()) {
+      cards.insert(cards.end(), ud.cardinalities.begin(),
+                   ud.cardinalities.end());
+    } else {
+      cards.resize(cards.size() + ud.candidates.size(), 0);
+    }
+    auto rank_of = [&](VertexId v) {
+      auto it = std::lower_bound(ud.candidates.begin(), ud.candidates.end(), v);
+      EXPECT_TRUE(it != ud.candidates.end() && *it == v);
+      return static_cast<std::uint32_t>(it - ud.candidates.begin());
+    };
+    auto append_list = [&](const CandidateList& list) {
+      FlatListMeta lm;
+      lm.key_begin = static_cast<std::uint32_t>(keys.size());
+      lm.key_count = static_cast<std::uint32_t>(list.num_keys());
+      lm.entry_begin = static_cast<std::uint32_t>(entries.size());
+      lm.owner = u;
+      for (std::size_t i = 0; i < list.num_keys(); ++i) {
+        keys.push_back(list.keys()[i]);
+        const auto values = list.values_at(i);
+        FlatEntry e;
+        const bool bitmap =
+            !values.empty() && std::size_t{m.bitmap_words} * 8 <
+                                   values.size() * 4;
+        if (bitmap) {
+          e.offset = static_cast<std::uint32_t>(bitmap_pool.size());
+          e.count_and_tag = static_cast<std::uint32_t>(values.size()) |
+                            FlatEntry::kBitmapTag;
+          bitmap_pool.resize(bitmap_pool.size() + m.bitmap_words, 0);
+          for (VertexId v : values) {
+            const std::uint32_t r = rank_of(v);
+            bitmap_pool[e.offset + (r >> 6)] |= std::uint64_t{1} << (r & 63);
+          }
+        } else {
+          e.offset = static_cast<std::uint32_t>(array_pool.size());
+          e.count_and_tag = static_cast<std::uint32_t>(values.size());
+          for (VertexId v : values) array_pool.push_back(rank_of(v));
+        }
+        entries.push_back(e);
+      }
+      lmeta.push_back(lm);
+      return static_cast<std::uint32_t>(lmeta.size() - 1);
+    };
+    m.te_list = u == tree.root() ? kNoFlatList : append_list(ud.te);
+    m.nte_begin = static_cast<std::uint32_t>(lmeta.size());
+    m.nte_count = static_cast<std::uint32_t>(ud.nte.size());
+    for (const CandidateList& list : ud.nte) append_list(list);
+  }
+
+  ReferenceArena out;
+  auto put = [&](const auto& slab) {
+    using T = typename std::decay_t<decltype(slab)>::value_type;
+    FlatCeciIndex::Slab placed;
+    placed.offset = out.bytes.size();
+    placed.bytes = slab.size() * sizeof(T);
+    const auto* raw = reinterpret_cast<const std::byte*>(slab.data());
+    out.bytes.insert(out.bytes.end(), raw, raw + placed.bytes);
+    out.bytes.resize((out.bytes.size() + 7) & ~std::size_t{7}, std::byte{0});
+    out.slabs.push_back(placed);
+  };
+  put(vmeta);
+  put(order);
+  put(cands);
+  put(cards);
+  put(lmeta);
+  put(keys);
+  put(entries);
+  put(array_pool);
+  put(bitmap_pool);
+  return out;
+}
+
+void ExpectSameArena(const FlatCeciIndex& flat, const ReferenceArena& want) {
+  ASSERT_EQ(want.slabs.size(), FlatCeciIndex::kNumSlabs);
+  for (std::size_t s = 0; s < FlatCeciIndex::kNumSlabs; ++s) {
+    const auto kind = static_cast<FlatCeciIndex::SlabKind>(s);
+    EXPECT_EQ(flat.slab(kind).offset, want.slabs[s].offset) << "slab " << s;
+    EXPECT_EQ(flat.slab(kind).bytes, want.slabs[s].bytes) << "slab " << s;
+  }
+  const auto got = flat.arena();
+  ASSERT_EQ(got.size(), want.bytes.size());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.bytes.begin()));
+}
+
+TEST(FlatIndexTest, ArenaBytesEqualTheReferenceFreeze) {
+  std::size_t arrays = 0;
+  std::size_t bitmaps = 0;
+  std::size_t cases = 0;
+  auto check = [&](const Graph& data, const Graph& query) {
+    Frozen f(data, query, 0);
+    ExpectSameArena(f.flat, ReferenceFreeze(f.index, f.tree));
+    // The matcher freezes the lists to CSR before the flat freeze.
+    f.index.Freeze();
+    ExpectSameArena(FlatCeciIndex::Build(f.index, f.tree),
+                    ReferenceFreeze(f.index, f.tree));
+    arrays += f.flat.ArrayEntries();
+    bitmaps += f.flat.BitmapEntries();
+    ++cases;
+  };
+  for (std::uint64_t seed : {3, 5, 8}) {
+    const Graph data =
+        AssignRandomLabels(GenerateSocialGraph(600, 6, seed), 3, seed + 1);
+    QueryGenOptions qopt;
+    for (std::size_t n : {3, 4, 5, 6}) {
+      qopt.num_vertices = n;
+      qopt.seed = seed * 10 + n;
+      auto query = GenerateQuery(data, qopt);
+      ASSERT_TRUE(query.has_value());
+      check(data, *query);
+    }
+  }
+  const Graph unlabeled = GenerateSocialGraph(400, 6, 17);
+  for (PaperQuery pq : kAllPaperQueries) check(unlabeled, MakePaperQuery(pq));
+  EXPECT_EQ(cases, 17u);
+  EXPECT_GT(arrays, 0u);
+  EXPECT_GT(bitmaps, 0u);
+}
+
+// A two-vertex query (u0 - u1, rooted at u0) over a hand-made index:
+// C(u0) = {1, 2}, C(u1) = {3, 4}, and u1's TE list maps key 1 to
+// `values`. Freezing it must fail unless every value is in C(u1).
+void FreezeHandMadeIndex(std::vector<VertexId> values) {
+  const Graph query = MakeGraph({0, 0}, {{0, 1}});
+  auto tree = QueryTree::Build(query, 0);
+  CECI_CHECK(tree.ok());
+  CeciIndex index(2);
+  index.at(0).candidates = {1, 2};
+  index.at(1).candidates = {3, 4};
+  index.at(1).te.Append(1, std::move(values));
+  FlatCeciIndex::Build(index, *tree);
+}
+
+TEST(FlatIndexTest, HandMadeIndexFreezesWhenEveryValueIsACandidate) {
+  FreezeHandMadeIndex({3, 4});  // the control: no CHECK fires
+}
+
+TEST(FlatIndexDeathTest, ValueAboveTheLargestCandidateIdIsRejected) {
+  EXPECT_DEATH(FreezeHandMadeIndex({3, 9}),
+               "v9 is not an alive candidate of its child vertex");
+}
+
+TEST(FlatIndexDeathTest, StaleRankOfAnotherVertexIsRejected) {
+  // v2 is u0's candidate at rank 1, so the rank table still holds 1 for it
+  // when u1 is frozen — a rank that is in range for C(u1) = {3, 4}.
+  EXPECT_DEATH(FreezeHandMadeIndex({2, 3}),
+               "v2 is not an alive candidate of its child vertex");
 }
 
 }  // namespace

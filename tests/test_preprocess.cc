@@ -1,4 +1,5 @@
-// Unit tests for preprocessing: candidate counting, root selection.
+// Unit tests for preprocessing: filter verdicts, candidate counts, root
+// selection.
 #include <gtest/gtest.h>
 
 #include "ceci/preprocess.h"
@@ -26,19 +27,43 @@ TEST_F(PreprocessPaperTest, CandidateCountsMatchPaper) {
   // §2.2: candidates after label/degree/NLC filtering:
   // u1 {v1,v2}, u2 {v3,v5,v7,v9}, u3 {v4,v6} (v8 NLC-filtered,
   // v10 degree-filtered), u4 {v11,v13,v15}, u5 {v12,v14}.
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 0), 2u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 1), 4u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 2), 2u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 3), 3u);
-  EXPECT_EQ(CountCandidates(data_, nlc_, query_, 4), 2u);
+  const std::size_t want[] = {2, 4, 2, 3, 2};
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  ASSERT_EQ(pre->candidate_counts.size(), query_.num_vertices());
+  for (VertexId u = 0; u < query_.num_vertices(); ++u) {
+    EXPECT_EQ(pre->candidate_counts[u], want[u]) << "u" << u;
+    EXPECT_EQ(CollectCandidates(data_, nlc_, query_, u).size(), want[u])
+        << "u" << u;
+  }
 }
 
 TEST_F(PreprocessPaperTest, CollectMatchesCount) {
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
   for (VertexId u = 0; u < query_.num_vertices(); ++u) {
     auto collected = CollectCandidates(data_, nlc_, query_, u);
-    EXPECT_EQ(collected.size(), CountCandidates(data_, nlc_, query_, u));
+    EXPECT_EQ(collected.size(), pre->candidate_counts[u]);
     EXPECT_TRUE(std::is_sorted(collected.begin(), collected.end()));
+    EXPECT_EQ(PassingCandidates(data_, query_, pre->verdicts, u), collected);
   }
+}
+
+TEST_F(PreprocessPaperTest, VerdictsNameTheFirstRejectingFilter) {
+  // §2.2's narration: for u3, v8 fails NLC and v10 fails degree; v1 (label
+  // A) fails the label filter of u3 (label C).
+  auto V = [](int k) { return static_cast<VertexId>(k - 1); };
+  auto pre = Preprocess(data_, nlc_, query_, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  ASSERT_EQ(pre->verdicts.bytes.size(),
+            query_.num_vertices() * data_.num_vertices());
+  EXPECT_EQ(pre->verdicts.at(2, V(8)),
+            FilterVerdict::kRejectNlc);
+  EXPECT_EQ(pre->verdicts.at(2, V(10)),
+            FilterVerdict::kRejectDegree);
+  EXPECT_EQ(pre->verdicts.at(2, V(1)),
+            FilterVerdict::kRejectLabel);
+  EXPECT_EQ(pre->verdicts.at(2, V(4)), FilterVerdict::kPass);
 }
 
 TEST_F(PreprocessPaperTest, RootIsU1) {
@@ -85,7 +110,11 @@ TEST(PreprocessTest, DegreeFilterApplies) {
   Graph query = MakeGraph({0, 0, 0, 0},
                           {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}});
   NlcIndex nlc(data);
-  EXPECT_EQ(CountCandidates(data, nlc, query, 0), 0u);
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->candidate_counts[0], 0u);
+  EXPECT_EQ(CollectCandidates(data, nlc, query, 0).size(), 0u);
+  EXPECT_TRUE(pre->infeasible);
 }
 
 TEST(PreprocessTest, EmptyQueryRejected) {
@@ -117,7 +146,11 @@ TEST(PreprocessTest, MultiLabelScanUsesRarestBucket) {
   auto query = qb.Build();
   ASSERT_TRUE(query.ok());
   NlcIndex nlc(*data);
-  EXPECT_EQ(CountCandidates(*data, nlc, *query, 0), 1u);  // only v7
+  auto pre = Preprocess(*data, nlc, *query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok());
+  EXPECT_EQ(pre->candidate_counts[0], 1u);  // only v7
+  EXPECT_EQ(CollectCandidates(*data, nlc, *query, 0),
+            std::vector<VertexId>{7});
 }
 
 }  // namespace

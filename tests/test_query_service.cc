@@ -291,8 +291,10 @@ std::string SavePrebuiltIndex(const Graph& data, const std::string& pattern,
   NlcIndex nlc(data);
   auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
   CECI_CHECK(pre.ok() && !pre->infeasible);
+  BuildOptions build_options;
+  build_options.verdicts = &pre->verdicts;
   CeciBuilder builder(data, nlc);
-  CeciIndex index = builder.Build(query, pre->tree, BuildOptions{}, nullptr);
+  CeciIndex index = builder.Build(query, pre->tree, build_options, nullptr);
   RefineCeci(pre->tree, data.num_vertices(), &index, nullptr);
   const FlatCeciIndex flat = FlatCeciIndex::Build(index, pre->tree);
   const std::string path =
