@@ -41,11 +41,11 @@ struct LayoutRun {
   std::size_t bitmap_entries = 0;  // flat only
 };
 
-// The three candidate-storage figures per (dataset, query), measured on
-// the same refined index. "Mutable" is the paper's pointer-rich layout —
-// one heap vector per TE/NTE key — as it exists through build and
-// refinement; "CSR" is the same index after Freeze() (what the pointer
-// enumeration path serves from); "flat" is the arena. Mutable and CSR are
+// The candidate-storage figures per (dataset, query), measured on the
+// same refined index. "Mutable" is the index before Freeze() and "CSR"
+// after it; the lists are CSR from birth and Freeze() copies nothing, so
+// the two now agree (the column kept its name from the vector-per-key
+// form it used to measure). "Flat" is the arena. Mutable and CSR are
 // malloc_usable_size sums; flat is exact by construction.
 struct BytesReport {
   std::size_t mutable_measured = 0;

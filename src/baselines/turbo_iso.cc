@@ -95,15 +95,12 @@ class TurboIsoEngine {
     for (VertexId u : tree_.bfs_order()) {
       if (u == tree_.root()) continue;
       const VertexId u_p = tree_.parent(u);
-      std::vector<char> seen;
       for (VertexId v_f : region_candidates_[u_p]) {
-        std::vector<VertexId> vals;
+        vals_.clear();
         for (VertexId v : data_.neighbors(v_f)) {
-          if (PassesFilters(u, v)) vals.push_back(v);
+          if (PassesFilters(u, v)) vals_.push_back(v);
         }
-        if (!vals.empty()) {
-          region_[u].Append(v_f, std::move(vals));
-        }
+        if (!vals_.empty()) region_[u].Append(v_f, vals_);
       }
       region_candidates_[u] = region_[u].UnionOfValues();
       if (region_candidates_[u].empty()) return false;
@@ -197,6 +194,7 @@ class TurboIsoEngine {
   std::vector<std::vector<Memo>> memo_;
   std::vector<CandidateList> region_;
   std::vector<std::vector<VertexId>> region_candidates_;
+  std::vector<VertexId> vals_;  // expansion buffer reused across regions
   std::vector<VertexId> order_;
   std::vector<std::size_t> pos_of_;
   std::vector<VertexId> mapping_;

@@ -68,6 +68,11 @@ std::string CachedMatcher::QueryKey(const Graph& query,
 Result<MatchResult> CachedMatcher::Match(const Graph& query,
                                          const MatchOptions& options,
                                          const EmbeddingVisitor* visitor) {
+  // One stopwatch times the whole call; the phases this call runs are
+  // consecutive laps of a second one, as in CeciMatcher::Match, so the
+  // lookup and the result assembly are timed too.
+  Timer total_timer;
+  Timer phase;
   // Resilient-execution support (serving mode): the budget bounds index
   // construction on a miss and every enumeration worker, exactly like
   // CeciMatcher::Match. Inactive (null) when options.budget is default.
@@ -76,6 +81,7 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
 
   const std::string key = QueryKey(query, options);
   std::shared_ptr<const Entry> entry;
+  std::shared_ptr<Entry> fresh;  // the entry this call built, on a miss
   bool cache_hit = false;
   {
     MutexLock lock(mutex_);
@@ -90,9 +96,8 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
 
   if (entry == nullptr) {
     TraceSpan build_span("cache/build_entry");
-    auto fresh = std::make_shared<Entry>();
+    fresh = std::make_shared<Entry>();
     MatchStats& stats = fresh->build_stats;
-    Timer phase;
     PreprocessOptions pre_options;
     pre_options.order = options.order;
     auto pre = Preprocess(data_, nlc_, query, pre_options);
@@ -102,12 +107,11 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
                           ? SymmetryConstraints::Compute(query)
                           : SymmetryConstraints::None(query.num_vertices());
     stats.automorphisms_broken = fresh->symmetry.automorphism_count();
-    stats.preprocess_seconds = phase.Seconds();
+    stats.preprocess_seconds = phase.Lap();
     stats.theoretical_bytes = CeciIndex::TheoreticalBytes(
         query.num_edges(), data_.num_directed_edges());
 
     if (!fresh->pre.infeasible) {
-      phase.Reset();
       BuildOptions build_options;
       build_options.pool = options.pool;
       build_options.budget = budget;
@@ -115,14 +119,13 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
       CeciBuilder builder(data_, nlc_);
       fresh->index =
           builder.Build(query, fresh->pre.tree, build_options, &stats.build);
-      stats.build_seconds = phase.Seconds();
-      phase.Reset();
+      stats.build_seconds = phase.Lap();
       RefineCeci(fresh->pre.tree, data_.num_vertices(), &fresh->index,
                  &stats.refine, nullptr, budget);
       if (budget == nullptr || !budget->Exhausted()) {
         fresh->index.Freeze();
       }
-      stats.refine_seconds = phase.Seconds();
+      stats.refine_seconds = phase.Lap();
       if (budget != nullptr && budget->Exhausted()) {
         // Partial index: never cached (a later unbudgeted repeat must not
         // inherit an incomplete entry), and never enumerated. Return an
@@ -131,9 +134,7 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
         partial.stats = stats;
         partial.termination = tracker.reason();
         partial.stats.budget = tracker.ToStats();
-        partial.stats.total_seconds = partial.stats.preprocess_seconds +
-                                      partial.stats.build_seconds +
-                                      partial.stats.refine_seconds;
+        partial.stats.total_seconds = total_timer.Seconds();
         return partial;
       }
       stats.ceci_bytes = fresh->index.MemoryBytes();
@@ -142,9 +143,8 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
           fresh->index.pivots(fresh->pre.tree).size();
       stats.total_cardinality = stats.refine.total_cardinality;
       if (options.flat_index) {
-        phase.Reset();
         fresh->flat = FlatCeciIndex::Build(fresh->index, fresh->pre.tree);
-        stats.freeze_seconds = phase.Seconds();
+        stats.freeze_seconds = phase.Lap();
         fresh->use_flat = true;
         fresh->index = CeciIndex();  // the cache keeps only the arena
         stats.flat_bytes = fresh->flat.ArenaBytes();
@@ -163,20 +163,32 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
     }
   }
 
+  // A miss reports the phases it ran (even when another thread's entry
+  // won the race). A hit ran none of them: the entry's phase seconds
+  // belong to the miss that built it.
   MatchResult result;
-  result.stats = entry->build_stats;
+  result.stats = fresh != nullptr ? fresh->build_stats : entry->build_stats;
   result.stats.index_cache_hit = cache_hit;
-  if (entry->pre.infeasible) return result;
+  if (cache_hit) {
+    result.stats.preprocess_seconds = 0.0;
+    result.stats.build_seconds = 0.0;
+    result.stats.refine_seconds = 0.0;
+    result.stats.freeze_seconds = 0.0;
+  }
+  if (entry->pre.infeasible) {
+    result.stats.total_seconds = total_timer.Seconds();
+    return result;
+  }
 
   // A deadline that expired while the query sat in a queue (or during the
   // cache lookup) stops it before enumeration starts.
   if (budget != nullptr && budget->Poll()) {
     result.termination = tracker.reason();
     result.stats.budget = tracker.ToStats();
+    result.stats.total_seconds = total_timer.Seconds();
     return result;
   }
 
-  Timer phase;
   ScheduleOptions schedule;
   schedule.threads = options.threads;
   schedule.distribution = options.distribution;
@@ -195,7 +207,7 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
                                                   : IndexView(entry->index),
                                   schedule, visitor);
   }();
-  result.stats.enumerate_seconds = phase.Seconds();
+  result.stats.enumerate_seconds = phase.Lap();
   result.stats.enumeration = sched.stats;
   result.stats.worker_seconds = std::move(sched.worker_seconds);
   result.stats.worker_embeddings = std::move(sched.worker_embeddings);
@@ -213,11 +225,7 @@ Result<MatchResult> CachedMatcher::Match(const Graph& query,
   }
   result.stats.budget = tracker.ToStats();
   if (sched.visitor_abort) result.stats.budget.cancelled = true;
-  result.stats.total_seconds = result.stats.preprocess_seconds +
-                               result.stats.build_seconds +
-                               result.stats.refine_seconds +
-                               result.stats.freeze_seconds +
-                               result.stats.enumerate_seconds;
+  result.stats.total_seconds = total_timer.Seconds();
   return result;
 }
 

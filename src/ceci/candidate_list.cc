@@ -1,14 +1,14 @@
 #include "ceci/candidate_list.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.h"
 #include "util/heap_bytes.h"
-#include "util/logging.h"
 
 namespace ceci {
 
-void CandidateList::Append(VertexId key, std::vector<VertexId> values) {
+void CandidateList::Append(VertexId key, std::span<const VertexId> values) {
   CECI_DCHECK(!frozen_) << "cannot mutate a frozen candidate list";
   CECI_DCHECK(keys_.empty() || keys_.back() < key)
       << "keys must be appended in ascending order";
@@ -16,112 +16,41 @@ void CandidateList::Append(VertexId key, std::vector<VertexId> values) {
                                  std::greater_equal<VertexId>()) ==
               values.end())
       << "value sets must be strictly sorted";
+  if (offsets_.empty()) offsets_.push_back(0);
   keys_.push_back(key);
-  values_.push_back(std::move(values));
+  values_.insert(values_.end(), values.begin(), values.end());
+  CECI_DCHECK(values_.size() <= UINT32_MAX) << "u32 offsets overflow";
+  offsets_.push_back(static_cast<std::uint32_t>(values_.size()));
 }
 
 std::span<const VertexId> CandidateList::Find(VertexId key) const {
   auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
   if (it == keys_.end() || *it != key) return {};
-  const std::size_t idx = static_cast<std::size_t>(it - keys_.begin());
-  if (frozen_) {
-    return {flat_values_.data() + flat_offsets_[idx],
-            flat_values_.data() + flat_offsets_[idx + 1]};
-  }
-  return values_[idx];
-}
-
-void CandidateList::Freeze() {
-  if (frozen_) return;
-  flat_offsets_.clear();
-  flat_offsets_.reserve(keys_.size() + 1);
-  flat_values_.clear();
-  flat_values_.reserve(TotalValues());
-  flat_offsets_.push_back(0);
-  for (const auto& vals : values_) {
-    flat_values_.insert(flat_values_.end(), vals.begin(), vals.end());
-    flat_offsets_.push_back(static_cast<std::uint32_t>(flat_values_.size()));
-  }
-  values_.clear();
-  values_.shrink_to_fit();
-  frozen_ = true;
-}
-
-std::size_t CandidateList::TotalValues() const {
-  if (frozen_) return flat_values_.size();
-  std::size_t total = 0;
-  for (const auto& v : values_) total += v.size();
-  return total;
+  return values_at(static_cast<std::size_t>(it - keys_.begin()));
 }
 
 std::vector<VertexId> CandidateList::UnionOfValues() const {
-  std::vector<VertexId> out;
-  if (frozen_) {
-    out = flat_values_;
-  } else {
-    for (const auto& v : values_) out.insert(out.end(), v.begin(), v.end());
-  }
+  std::vector<VertexId> out = values_;
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
-std::size_t CandidateList::Prune(
-    const std::function<bool(VertexId)>& keep_key,
-    const std::function<bool(VertexId)>& keep_value) {
-  CECI_CHECK(!frozen_) << "cannot prune a frozen candidate list";
-  std::size_t removed = 0;
-  std::size_t write = 0;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (!keep_key(keys_[i])) {
-      removed += values_[i].size();
-      continue;
-    }
-    auto& vals = values_[i];
-    std::size_t before = vals.size();
-    vals.erase(std::remove_if(vals.begin(), vals.end(),
-                              [&](VertexId v) { return !keep_value(v); }),
-               vals.end());
-    removed += before - vals.size();
-    if (vals.empty()) continue;
-    if (write != i) {
-      keys_[write] = keys_[i];
-      values_[write] = std::move(vals);
-    }
-    ++write;
-  }
-  keys_.resize(write);
-  values_.resize(write);
-  return removed;
-}
-
 std::size_t CandidateList::MemoryBytes() const {
-  std::size_t bytes = keys_.size() * sizeof(VertexId);
-  if (frozen_) {
-    bytes += flat_offsets_.size() * sizeof(std::uint32_t) +
-             flat_values_.size() * sizeof(VertexId);
-    return bytes;
-  }
-  for (const auto& v : values_) {
-    bytes += sizeof(std::vector<VertexId>) + v.size() * sizeof(VertexId);
-  }
-  return bytes;
+  return keys_.size() * sizeof(VertexId) +
+         (keys_.size() + 1) * sizeof(std::uint32_t) +
+         values_.size() * sizeof(VertexId);
 }
 
 std::size_t CandidateList::MeasuredHeapBytes() const {
-  std::size_t bytes = MeasuredVectorBytes(keys_);
-  bytes += MeasuredVectorBytes(flat_offsets_);
-  bytes += MeasuredVectorBytes(flat_values_);
-  bytes += MeasuredVectorBytes(values_);
-  for (const auto& v : values_) bytes += MeasuredVectorBytes(v);
-  return bytes;
+  return MeasuredVectorBytes(keys_) + MeasuredVectorBytes(offsets_) +
+         MeasuredVectorBytes(values_);
 }
 
 void CandidateList::clear() {
   keys_.clear();
+  offsets_.clear();
   values_.clear();
-  flat_offsets_.clear();
-  flat_values_.clear();
   frozen_ = false;
 }
 

@@ -7,22 +7,23 @@
 #ifndef CECI_CECI_CANDIDATE_LIST_H_
 #define CECI_CECI_CANDIDATE_LIST_H_
 
-#include <functional>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "graph/types.h"
+#include "util/logging.h"
 
 namespace ceci {
 
 /// Sorted key → sorted value-set candidate map.
 ///
-/// Two storage modes: the *mutable* mode keeps one vector per key (cheap
-/// appends and pruning during construction/refinement); Freeze() converts
-/// to a CSR-flat layout — keys, offsets, one contiguous value array — that
-/// the enumeration hot path reads with one fewer indirection and much
-/// better locality. Freeze is idempotent; mutating a frozen list is a
-/// programming error (checked).
+/// One CSR layout from birth: sorted keys, u32 offsets (keys + 1 of them
+/// once a key exists) and one contiguous value array. The builder appends
+/// straight into it, refinement prunes it in place, and the enumeration
+/// hot path reads it with no per-key indirection. Freeze() only seals the
+/// list — nothing is copied; mutating a frozen list is a programming error
+/// (checked).
 class CandidateList {
  public:
   CandidateList() = default;
@@ -30,45 +31,45 @@ class CandidateList {
   /// Appends a key with its value set. Keys must arrive in strictly
   /// ascending order (the builder expands sorted frontiers, so this holds
   /// naturally); values must be sorted.
-  void Append(VertexId key, std::vector<VertexId> values);
+  void Append(VertexId key, std::span<const VertexId> values);
 
   /// Value set for `key`; empty span if the key is absent.
   std::span<const VertexId> Find(VertexId key) const;
 
-  /// Converts to the immutable CSR-flat layout. Call after refinement.
-  void Freeze();
+  /// Seals the list against further mutation. Call after refinement.
+  void Freeze() { frozen_ = true; }
   bool frozen() const { return frozen_; }
 
   std::size_t num_keys() const { return keys_.size(); }
   std::span<const VertexId> keys() const { return keys_; }
   std::span<const VertexId> values_at(std::size_t idx) const {
-    if (frozen_) {
-      return {flat_values_.data() + flat_offsets_[idx],
-              flat_values_.data() + flat_offsets_[idx + 1]};
-    }
-    return values_[idx];
+    return {values_.data() + offsets_[idx],
+            values_.data() + offsets_[idx + 1]};
   }
+  /// Every stored value, key by key (the concatenated value sets).
+  std::span<const VertexId> values() const { return values_; }
 
   /// Total number of candidate edges stored.
-  std::size_t TotalValues() const;
+  std::size_t TotalValues() const { return values_.size(); }
 
   /// Sorted union of all value sets (the candidate set contribution).
   std::vector<VertexId> UnionOfValues() const;
 
   /// Drops keys failing `keep_key` and values failing `keep_value`; keys
-  /// left with no values are dropped too. Returns the number of candidate
-  /// edges removed.
-  std::size_t Prune(const std::function<bool(VertexId)>& keep_key,
-                    const std::function<bool(VertexId)>& keep_value);
+  /// left with no values are dropped too. Keys, offsets and values are
+  /// compacted in place. Returns the number of candidate edges removed.
+  template <typename KeepKey, typename KeepValue>
+  std::size_t Prune(const KeepKey& keep_key, const KeepValue& keep_value);
 
-  /// Approximate heap bytes (8 bytes per stored edge plus key overhead,
-  /// matching the paper's Table 2 accounting of 8 bytes per edge).
+  /// Payload bytes: 4 per key, 4 per offset and 4 per stored edge (the
+  /// paper's Table 2 accounting of 8 bytes per edge counts key + value).
   std::size_t MemoryBytes() const;
 
   /// Actual heap bytes held by this list's allocations, including vector
   /// capacity slack and allocator block rounding (malloc_usable_size where
-  /// available, capacity-based otherwise). Always >= MemoryBytes(); this is
-  /// the honest figure to compare against FlatCeciIndex::ArenaBytes().
+  /// available, capacity-based otherwise). Always >= MemoryBytes() once a
+  /// key exists; this is the honest figure to compare against
+  /// FlatCeciIndex::ArenaBytes().
   std::size_t MeasuredHeapBytes() const;
 
   bool empty() const { return keys_.empty(); }
@@ -80,11 +81,41 @@ class CandidateList {
   friend class CandidateListTestPeer;
 
   std::vector<VertexId> keys_;
-  std::vector<std::vector<VertexId>> values_;   // mutable mode
+  std::vector<std::uint32_t> offsets_;  // empty, or keys_.size() + 1
+  std::vector<VertexId> values_;
   bool frozen_ = false;
-  std::vector<std::uint32_t> flat_offsets_;     // frozen mode, size keys+1
-  std::vector<VertexId> flat_values_;
 };
+
+template <typename KeepKey, typename KeepValue>
+std::size_t CandidateList::Prune(const KeepKey& keep_key,
+                                 const KeepValue& keep_value) {
+  CECI_CHECK(!frozen_) << "cannot prune a frozen candidate list";
+  const std::size_t before = values_.size();
+  std::size_t kept_keys = 0;
+  std::uint32_t kept_values = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    // Read the key's end before the write below may overwrite it.
+    const std::uint32_t end = offsets_[i + 1];
+    if (keep_key(keys_[i])) {
+      const std::uint32_t first = kept_values;
+      for (std::uint32_t j = begin; j < end; ++j) {
+        const VertexId v = values_[j];
+        values_[kept_values] = v;
+        kept_values += keep_value(v) ? 1 : 0;
+      }
+      if (kept_values != first) {
+        keys_[kept_keys] = keys_[i];
+        offsets_[++kept_keys] = kept_values;
+      }
+    }
+    begin = end;
+  }
+  keys_.resize(kept_keys);
+  if (!offsets_.empty()) offsets_.resize(kept_keys + 1);
+  values_.resize(kept_values);
+  return before - kept_values;
+}
 
 }  // namespace ceci
 

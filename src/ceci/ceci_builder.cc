@@ -1,7 +1,7 @@
 #include "ceci/ceci_builder.h"
 
 #include <algorithm>
-
+#include <array>
 #include <string>
 
 #include "ceci/preprocess.h"
@@ -14,13 +14,24 @@ namespace ceci {
 namespace {
 
 // Thread-private expansion bin (§3.6): one contiguous chunk of the frontier
-// expands into a private list of (key, values) pairs, merged in chunk order
-// afterwards so the result is identical to serial execution.
+// expands into a private CSR list, merged in chunk order afterwards so the
+// result is identical to serial execution.
 struct ExpansionBin {
-  std::vector<std::pair<VertexId, std::vector<VertexId>>> entries;
+  CandidateList entries;
   std::vector<VertexId> dead_frontier;
   BuildStats stats;
 };
+
+// Per-filter tallies of one frontier scan, indexed by the verdict byte.
+using VerdictTally = std::array<std::uint64_t, 4>;
+
+void AddTally(const VerdictTally& tally, BuildStats* s) {
+  s->rejected_label +=
+      tally[static_cast<std::uint8_t>(FilterVerdict::kRejectLabel)];
+  s->rejected_degree +=
+      tally[static_cast<std::uint8_t>(FilterVerdict::kRejectDegree)];
+  s->rejected_nlc += tally[static_cast<std::uint8_t>(FilterVerdict::kRejectNlc)];
+}
 
 // Frontier vertices expanded between deadline/token polls. Each expansion
 // scans a full adjacency list, so one stride bounds the reaction time to
@@ -89,31 +100,28 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
     options.vertex_stats->push_back(root_stats);
   }
 
-  // Expands one frontier vertex of u: one verdict byte per neighbour.
-  // u's row holds only FilterVerdict values here — membership marks for u
-  // are set after its expansion, and cascades touch built vertices only.
-  auto expand_te = [&](VertexId u, VertexId v_f, std::vector<VertexId>* vals,
-                       BuildStats* s) {
+  // Expands one frontier vertex of u into `out` (room for its degree) and
+  // returns the number of values written. One verdict byte per neighbour,
+  // and no branch on it: every neighbour is written, the cursor advances
+  // only on kPass, and the byte indexes its filter's tally. u's row holds
+  // only FilterVerdict values here — membership marks for u are set after
+  // its expansion, and cascades touch built vertices only.
+  auto expand_te = [&](VertexId u, VertexId v_f, VertexId* out,
+                       VerdictTally* tally, BuildStats* s) {
     ++s->frontier_expansions;
     s->neighbors_scanned += data_.degree(v_f);
     const std::uint8_t* verdict = row(u);
+    std::size_t n = 0;
     for (VertexId v : data_.neighbors(v_f)) {
-      switch (static_cast<FilterVerdict>(verdict[v])) {
-        case FilterVerdict::kPass:
-          vals->push_back(v);  // neighbors are sorted, so vals is sorted
-          break;
-        case FilterVerdict::kRejectLabel:
-          ++s->rejected_label;
-          break;
-        case FilterVerdict::kRejectDegree:
-          ++s->rejected_degree;
-          break;
-        case FilterVerdict::kRejectNlc:
-          ++s->rejected_nlc;
-          break;
-      }
+      const std::uint8_t x = verdict[v];
+      ++(*tally)[x];
+      out[n] = v;  // neighbors are sorted, so the kept prefix is sorted
+      n += x == static_cast<std::uint8_t>(FilterVerdict::kPass);
     }
+    return n;
   };
+  // One expansion buffer for the whole serial build (TE and NTE).
+  std::vector<VertexId> scratch(data_.max_degree());
 
   // Removes `dead` vertices from the candidate set of `u_owner` and drops
   // their key entries from the TE lists of u_owner's already-built children
@@ -178,20 +186,21 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
     const bool parallel = options.pool != nullptr &&
                           frontier.size() >= options.parallel_threshold;
     if (!parallel) {
+      VerdictTally tally{};
       std::uint64_t since_poll = 0;
       for (VertexId v_f : frontier) {
-        std::vector<VertexId> vals;
-        expand_te(u, v_f, &vals, stats);
-        if (vals.empty()) {
+        const std::size_t n = expand_te(u, v_f, scratch.data(), &tally, stats);
+        if (n == 0) {
           dead_frontier.push_back(v_f);
         } else {
-          ud.te.Append(v_f, std::move(vals));
+          ud.te.Append(v_f, {scratch.data(), n});
         }
         if (budget != nullptr && ++since_poll == kBuildPollStride) {
           since_poll = 0;
           if (budget->Poll()) break;
         }
       }
+      AddTally(tally, stats);
     } else {
       const std::size_t chunks =
           std::min(frontier.size(), options.pool->num_threads() * 4);
@@ -201,15 +210,17 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
         ExpansionBin& bin = bins[c];
         std::size_t begin = c * per;
         std::size_t end = std::min(begin + per, frontier.size());
+        std::vector<VertexId> out(data_.max_degree());
+        VerdictTally tally{};
         std::uint64_t since_poll = 0;
         for (std::size_t i = begin; i < end; ++i) {
           VertexId v_f = frontier[i];
-          std::vector<VertexId> vals;
-          expand_te(u, v_f, &vals, &bin.stats);
-          if (vals.empty()) {
+          const std::size_t n =
+              expand_te(u, v_f, out.data(), &tally, &bin.stats);
+          if (n == 0) {
             bin.dead_frontier.push_back(v_f);
           } else {
-            bin.entries.emplace_back(v_f, std::move(vals));
+            bin.entries.Append(v_f, {out.data(), n});
           }
           // Each chunk polls on its own stride; an exhausted budget stops
           // every sibling chunk at its next relaxed-flag read.
@@ -219,10 +230,11 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
           }
           if (budget != nullptr && budget->Exhausted()) break;
         }
+        AddTally(tally, &bin.stats);
       });
       for (ExpansionBin& bin : bins) {
-        for (auto& [key, vals] : bin.entries) {
-          ud.te.Append(key, std::move(vals));
+        for (std::size_t i = 0; i < bin.entries.num_keys(); ++i) {
+          ud.te.Append(bin.entries.keys()[i], bin.entries.values_at(i));
         }
         dead_frontier.insert(dead_frontier.end(), bin.dead_frontier.begin(),
                              bin.dead_frontier.end());
@@ -236,12 +248,10 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
 
     // Candidate set of u = union of TE values.
     std::uint8_t* member = row(u);
-    for (std::size_t i = 0; i < ud.te.num_keys(); ++i) {
-      for (VertexId v : ud.te.values_at(i)) {
-        if (member[v] != kMember) {
-          member[v] = kMember;
-          ud.candidates.push_back(v);
-        }
+    for (VertexId v : ud.te.values()) {
+      if (member[v] != kMember) {
+        member[v] = kMember;
+        ud.candidates.push_back(v);
       }
     }
     std::sort(ud.candidates.begin(), ud.candidates.end());
@@ -278,16 +288,17 @@ CeciIndex CeciBuilder::Build(const Graph& query, const QueryTree& tree,
       const VertexId u_n = tree.non_tree_edges()[nte_ids[k]].parent;
       std::vector<VertexId> dead_nte;
       for (VertexId v_n : index.at(u_n).candidates) {
-        std::vector<VertexId> vals;
         ++stats->frontier_expansions;
         stats->neighbors_scanned += data_.degree(v_n);
+        std::size_t n = 0;
         for (VertexId v : data_.neighbors(v_n)) {
-          if (member[v] == kMember) vals.push_back(v);
+          scratch[n] = v;
+          n += member[v] == kMember;
         }
-        if (vals.empty()) {
+        if (n == 0) {
           dead_nte.push_back(v_n);
         } else {
-          ud.nte[k].Append(v_n, std::move(vals));
+          ud.nte[k].Append(v_n, {scratch.data(), n});
         }
         if (budget != nullptr && ++nte_since_poll == kBuildPollStride) {
           nte_since_poll = 0;

@@ -49,8 +49,8 @@ class CeciIndex {
   /// cardinality(u, v); zero if v is not an alive candidate of u.
   Cardinality CardinalityOf(VertexId u, VertexId v) const;
 
-  /// Freezes every candidate list into the CSR-flat layout (call after
-  /// refinement; enumeration then reads contiguous storage).
+  /// Seals every candidate list against mutation (call after refinement;
+  /// the lists are CSR already, so nothing is copied).
   void Freeze();
 
   /// Total candidate edges stored across all TE and NTE lists.

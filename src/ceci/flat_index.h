@@ -1,13 +1,13 @@
 // Arena-backed flat CECI with hybrid candidate-set entries.
 //
-// The mutable CeciIndex (ceci_index.h) is pointer-rich: every TE/NTE value
-// set is its own heap vector, so the "compact" index of paper §3.4 spends
-// much of its bytes on allocator metadata and its enumeration time on
-// pointer chasing. FlatCeciIndex is the frozen form the enumerator actually
-// reads: the entire index lives in ONE contiguous 8-byte-aligned arena cut
-// into nine typed slabs addressed by `uint32` offsets (the katana
-// LargeArray idiom). Built from a *refined* CeciIndex by Build(); the
-// builder and refinement keep their mutable working form untouched.
+// The mutable CeciIndex (ceci_index.h) keeps one CSR list per TE/NTE list
+// plus a candidate and a cardinality vector per query vertex, each its own
+// heap allocation, with values stored as data-vertex ids. FlatCeciIndex is
+// the frozen form the enumerator actually reads: the entire index lives in
+// ONE contiguous 8-byte-aligned arena cut into nine typed slabs addressed
+// by `uint32` offsets (the katana LargeArray idiom). Built from a
+// *refined* CeciIndex by Build(); the builder and refinement keep their
+// mutable working form untouched.
 //
 // Layout (canonical slab order; see docs/index_layout.md for the full map):
 //

@@ -245,6 +245,7 @@ CeciIndex InflateFlatIndex(const FlatCeciIndex& flat) {
   const std::size_t nq = flat.num_query_vertices();
   CeciIndex index(nq);
   std::vector<std::uint32_t> rank_scratch;
+  std::vector<VertexId> values;
   for (VertexId u = 0; u < nq; ++u) {
     CeciVertexData& ud = index.at(u);
     const std::span<const VertexId> cand = flat.candidates(u);
@@ -256,8 +257,7 @@ CeciIndex InflateFlatIndex(const FlatCeciIndex& flat) {
   flat.ForEachList([&](VertexId owner, std::int32_t nte_slot, VertexId key,
                        const FlatCeciIndex::EntryRef& ref) {
     const std::span<const VertexId> cand = flat.candidates(owner);
-    std::vector<VertexId> values;
-    values.reserve(ref.count);
+    values.clear();
     if (ref.is_bitmap()) {
       rank_scratch.clear();
       BitmapExtract(ref.bits, &rank_scratch);
@@ -267,10 +267,9 @@ CeciIndex InflateFlatIndex(const FlatCeciIndex& flat) {
     }
     CeciVertexData& ud = index.at(owner);
     if (nte_slot < 0) {
-      ud.te.Append(key, std::move(values));
+      ud.te.Append(key, values);
     } else {
-      ud.nte[static_cast<std::size_t>(nte_slot)].Append(key,
-                                                        std::move(values));
+      ud.nte[static_cast<std::size_t>(nte_slot)].Append(key, values);
     }
   });
   return index;

@@ -95,13 +95,10 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
     if (num_nte > 0) {
       nte_membership.NextGeneration();
       for (std::uint32_t k = 0; k < num_nte; ++k) {
-        const CandidateList& list = ud.nte[k];
-        for (std::size_t i = 0; i < list.num_keys(); ++i) {
-          for (VertexId v : list.values_at(i)) {
-            if (seen_in_list[v] != k + 1) {
-              seen_in_list[v] = k + 1;
-              nte_membership.BumpCount(v);
-            }
+        for (VertexId v : ud.nte[k].values()) {
+          if (seen_in_list[v] != k + 1) {
+            seen_in_list[v] = k + 1;
+            nte_membership.BumpCount(v);
           }
         }
       }
@@ -110,10 +107,7 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       // stale markers are harmless only if list indices differ. Clear the
       // touched entries explicitly to stay correct.
       for (std::uint32_t k = 0; k < num_nte; ++k) {
-        const CandidateList& list = ud.nte[k];
-        for (std::size_t i = 0; i < list.num_keys(); ++i) {
-          for (VertexId v : list.values_at(i)) seen_in_list[v] = 0;
-        }
+        for (VertexId v : ud.nte[k].values()) seen_in_list[v] = 0;
       }
     }
 
@@ -144,12 +138,20 @@ void RefineCeci(const QueryTree& tree, std::size_t data_num_vertices,
       for (std::size_t i = 0; i < cd.candidates.size(); ++i) {
         child_cards.SetCard(cd.candidates[i], cd.cardinalities[i]);
       }
+      // Candidates and TE keys are both sorted: one merge walk finds each
+      // candidate's value set (an absent key leaves the sum at zero).
       const CandidateList& te = cd.te;
+      const std::span<const VertexId> keys = te.keys();
+      std::size_t k = 0;
       for (std::size_t i = 0; i < ud.candidates.size(); ++i) {
         if (partial[i] == 0) continue;
+        const VertexId v = ud.candidates[i];
+        while (k < keys.size() && keys[k] < v) ++k;
         Cardinality sum = 0;
-        for (VertexId v_c : te.Find(ud.candidates[i])) {
-          sum = SaturatingAdd(sum, child_cards.Card(v_c));
+        if (k < keys.size() && keys[k] == v) {
+          for (VertexId v_c : te.values_at(k)) {
+            sum = SaturatingAdd(sum, child_cards.Card(v_c));
+          }
         }
         partial[i] = SaturatingMul(partial[i], sum);
       }

@@ -173,6 +173,7 @@ Result<CeciIndex> StreamingCeciBuilder::Build(
   };
 
   std::vector<VertexId> adj;
+  std::vector<VertexId> vals;  // one expansion buffer for the whole build
   for (VertexId u : tree.matching_order()) {
     if (u == root) continue;
     const VertexId u_p = tree.parent(u);
@@ -186,7 +187,7 @@ Result<CeciIndex> StreamingCeciBuilder::Build(
       Status st = store_->ReadNeighbors(v_f, &adj);
       if (!st.ok()) return st;
       stats->neighbors_scanned += adj.size();
-      std::vector<VertexId> vals;
+      vals.clear();
       for (VertexId v : adj) {
         if (!PassesFilters(query, u, profiles[u], v)) {
           ++stats->rejected_nlc;  // aggregate rejection counter
@@ -197,15 +198,13 @@ Result<CeciIndex> StreamingCeciBuilder::Build(
       if (vals.empty()) {
         dead_frontier.push_back(v_f);
       } else {
-        ud.te.Append(v_f, std::move(vals));
+        ud.te.Append(v_f, vals);
       }
     }
-    for (std::size_t i = 0; i < ud.te.num_keys(); ++i) {
-      for (VertexId v : ud.te.values_at(i)) {
-        if (!alive[u][v]) {
-          alive[u][v] = 1;
-          ud.candidates.push_back(v);
-        }
+    for (VertexId v : ud.te.values()) {
+      if (!alive[u][v]) {
+        alive[u][v] = 1;
+        ud.candidates.push_back(v);
       }
     }
     std::sort(ud.candidates.begin(), ud.candidates.end());
@@ -223,14 +222,14 @@ Result<CeciIndex> StreamingCeciBuilder::Build(
         Status st = store_->ReadNeighbors(v_n, &adj);
         if (!st.ok()) return st;
         stats->neighbors_scanned += adj.size();
-        std::vector<VertexId> vals;
+        vals.clear();
         for (VertexId v : adj) {
           if (alive[u][v]) vals.push_back(v);
         }
         if (vals.empty()) {
           dead_nte.push_back(v_n);
         } else {
-          ud.nte[k].Append(v_n, std::move(vals));
+          ud.nte[k].Append(v_n, vals);
         }
       }
       stats->nte_cascade_removals += dead_nte.size();

@@ -6,17 +6,36 @@ namespace ceci {
 
 NlcIndex::NlcIndex(const Graph& g) {
   const std::size_t n = g.num_vertices();
+  // `count` holds one vertex's per-label neighbour counts (zeroed again
+  // once read); `labels` collects that vertex's distinct labels in
+  // first-seen order. Both are reused for every vertex.
+  std::vector<std::uint32_t> count(g.num_labels(), 0);
+  std::vector<Label> labels;
+  auto gather = [&](VertexId v) {
+    labels.clear();
+    for (VertexId w : g.neighbors(v)) {
+      for (Label l : g.labels(w)) {
+        if (count[l]++ == 0) labels.push_back(l);
+      }
+    }
+  };
+  // Count pass: sizes entries_ exactly.
   offsets_.assign(n + 1, 0);
-  std::vector<Entry> scratch;
-  std::vector<std::vector<Entry>> per_vertex(n);
   for (VertexId v = 0; v < n; ++v) {
-    per_vertex[v] = Profile(g, v);
-    offsets_[v + 1] = offsets_[v] + per_vertex[v].size();
+    gather(v);
+    for (Label l : labels) count[l] = 0;
+    offsets_[v + 1] = offsets_[v] + labels.size();
   }
-  entries_.reserve(offsets_[n]);
+  // Fill pass: each vertex's runs are written in place, sorted by label.
+  entries_.resize(offsets_[n]);
+  Entry* out = entries_.data();
   for (VertexId v = 0; v < n; ++v) {
-    entries_.insert(entries_.end(), per_vertex[v].begin(),
-                    per_vertex[v].end());
+    gather(v);
+    std::sort(labels.begin(), labels.end());
+    for (Label l : labels) {
+      *out++ = Entry{l, count[l]};
+      count[l] = 0;
+    }
   }
 }
 

@@ -29,6 +29,38 @@ TEST(CachedMatcherTest, SecondMatchHitsCache) {
   EXPECT_EQ(b->embedding_count, a->embedding_count);
 }
 
+// total_seconds is one stopwatch over the call, not a sum of phases: a
+// hit ran no construction phase, so it reports none of the miss's build
+// seconds, and its total covers the lookup and the enumeration.
+TEST(CachedMatcherTest, HitTotalIsMeasuredAndExcludesTheMissBuild) {
+  Graph data = GenerateSocialGraph(600, 8, 5);
+  CachedMatcher matcher(data);
+  Graph query = MakePaperQuery(PaperQuery::kQG3);
+  auto miss = matcher.Match(query, MatchOptions{});
+  ASSERT_TRUE(miss.ok());
+  ASSERT_FALSE(miss->stats.index_cache_hit);
+  const MatchStats& m = miss->stats;
+  EXPECT_GT(m.build_seconds, 0.0);
+  EXPECT_GE(m.total_seconds, m.preprocess_seconds + m.build_seconds +
+                                 m.refine_seconds + m.freeze_seconds +
+                                 m.enumerate_seconds);
+
+  auto hit = matcher.Match(query, MatchOptions{});
+  ASSERT_TRUE(hit.ok());
+  ASSERT_TRUE(hit->stats.index_cache_hit);
+  const MatchStats& h = hit->stats;
+  EXPECT_EQ(hit->embedding_count, miss->embedding_count);
+  EXPECT_GT(h.total_seconds, 0.0);
+  EXPECT_GE(h.total_seconds, h.enumerate_seconds);
+  EXPECT_EQ(h.preprocess_seconds, 0.0);
+  EXPECT_EQ(h.build_seconds, 0.0);
+  EXPECT_EQ(h.refine_seconds, 0.0);
+  EXPECT_EQ(h.freeze_seconds, 0.0);
+  // The index's counters still describe the cached entry.
+  EXPECT_EQ(h.build.neighbors_scanned, m.build.neighbors_scanned);
+  EXPECT_EQ(h.candidate_edges, m.candidate_edges);
+}
+
 TEST(CachedMatcherTest, AgreesWithUncachedMatcher) {
   Graph data =
       AssignRandomLabels(GenerateSocialGraph(500, 8, 2), 4, 3);

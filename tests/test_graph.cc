@@ -1,6 +1,8 @@
 // Unit tests for the Graph CSR representation, builder, and NLC index.
 #include <gtest/gtest.h>
 
+#include "gen/labels.h"
+#include "gen/random_graphs.h"
 #include "graph/graph.h"
 #include "graph/graph_builder.h"
 #include "graph/nlc_index.h"
@@ -152,6 +154,28 @@ TEST(NlcIndexTest, MatchesProfileForEveryVertex) {
       EXPECT_EQ(got[i].count, expected[i].count);
     }
   }
+}
+
+// The counted two-pass constructor must lay out exactly the runs Profile
+// computes per vertex: multi-label neighbours, skewed degrees, and labels
+// absent from some neighbourhoods all occur on this graph.
+TEST(NlcIndexTest, MatchesProfileOnSeededMultiLabelGraph) {
+  const Graph g =
+      AssignMultiLabels(GenerateSocialGraph(1500, 6, 17), 12, 3, 18);
+  NlcIndex index(g);
+  std::size_t total = 0;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto expected = NlcIndex::Profile(g, v);
+    const auto got = index.entries(v);
+    ASSERT_EQ(got.size(), expected.size()) << "vertex " << v;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(got[i].label, expected[i].label) << "vertex " << v;
+      ASSERT_EQ(got[i].count, expected[i].count) << "vertex " << v;
+    }
+    total += expected.size();
+  }
+  EXPECT_EQ(index.MemoryBytes(), (g.num_vertices() + 1) * sizeof(EdgeId) +
+                                     total * sizeof(NlcIndex::Entry));
 }
 
 }  // namespace

@@ -9,11 +9,14 @@
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/index_io.h"
+#include "ceci/matcher.h"
 #include "ceci/refinement.h"
 #include "ceci/symmetry.h"
 #include "gen/paper_queries.h"
 #include "gen/random_graphs.h"
+#include "graphio/pattern_parser.h"
 #include "test_support.h"
+#include "util/crc32.h"
 
 namespace ceci {
 namespace {
@@ -310,6 +313,41 @@ TEST_F(IndexIoTest, ByteFlipFuzzFailsCleanlyEverywhere) {
     } else {
       EXPECT_NE(loaded.status().code(), Status::Code::kOk) << "byte " << at;
     }
+  }
+}
+
+// Pins the CEIX v2 on-disk bytes: the image CeciMatcher freezes for each
+// paper query on a seeded social graph (the `ceci_query --save-index`
+// path) must keep the CRC-32 recorded when the format was last changed.
+// A change to how the index is built or laid out in memory must leave
+// these bytes alone; a deliberate format change bumps the version and
+// re-records them.
+TEST_F(IndexIoTest, SavedImageBytesArePinned) {
+  struct Pin {
+    PaperQuery query;
+    std::uint32_t crc;
+  };
+  const Pin pins[] = {
+      {PaperQuery::kQG1, 0x8E9FCE64u}, {PaperQuery::kQG2, 0xADAB2E59u},
+      {PaperQuery::kQG3, 0xA038BDB2u}, {PaperQuery::kQG4, 0xFDA2697Du},
+      {PaperQuery::kQG5, 0x65B25AE8u},
+  };
+  const Graph data = GenerateSocialGraph(3000, 8, 2027);
+  CeciMatcher matcher(data);
+  for (const Pin& pin : pins) {
+    const Graph query = MakePaperQuery(pin.query);
+    const std::string path = File(PaperQueryName(pin.query) + ".idx");
+    MatchOptions options;
+    options.threads = 1;
+    options.flat_inspector = [&](const QueryTree&, const FlatCeciIndex& flat) {
+      ASSERT_TRUE(WriteFlatIndex(flat, FormatPattern(query), path).ok());
+    };
+    ASSERT_TRUE(matcher.Match(query, options).ok());
+    const std::string bytes = SlurpFile(path);
+    ASSERT_FALSE(bytes.empty()) << PaperQueryName(pin.query);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), pin.crc)
+        << PaperQueryName(pin.query) << " image (" << bytes.size()
+        << " bytes) changed";
   }
 }
 

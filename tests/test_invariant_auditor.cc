@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "analysis/invariant_auditor.h"
@@ -26,8 +27,30 @@ class GraphTestPeer {
 class CandidateListTestPeer {
  public:
   static std::vector<VertexId>& keys(CandidateList* l) { return l->keys_; }
-  static std::vector<std::vector<VertexId>>& values(CandidateList* l) {
-    return l->values_;
+  /// Writable view of key `idx`'s value set in the CSR value array.
+  static std::span<VertexId> values(CandidateList* l, std::size_t idx) {
+    return {l->values_.data() + l->offsets_[idx],
+            l->values_.data() + l->offsets_[idx + 1]};
+  }
+  /// Replaces key `idx`'s value set, shifting every later offset.
+  static void SetValues(CandidateList* l, std::size_t idx,
+                        std::vector<VertexId> vals) {
+    const auto first = l->values_.begin() + l->offsets_[idx];
+    const auto last = l->values_.begin() + l->offsets_[idx + 1];
+    const std::int64_t delta = static_cast<std::int64_t>(vals.size()) -
+                               static_cast<std::int64_t>(last - first);
+    l->values_.insert(l->values_.erase(first, last), vals.begin(),
+                      vals.end());
+    for (std::size_t i = idx + 1; i < l->offsets_.size(); ++i) {
+      l->offsets_[i] = static_cast<std::uint32_t>(l->offsets_[i] + delta);
+    }
+  }
+  /// Drops key `idx` together with its value set.
+  static void EraseKey(CandidateList* l, std::size_t idx) {
+    SetValues(l, idx, {});
+    l->keys_.erase(l->keys_.begin() + static_cast<std::ptrdiff_t>(idx));
+    l->offsets_.erase(l->offsets_.begin() +
+                      static_cast<std::ptrdiff_t>(idx) + 1);
   }
 };
 
@@ -157,8 +180,9 @@ TEST(AuditIndexTest, DetectsUnsortedListValues) {
   bool planted = false;
   for (VertexId u = 0; u < f.query.num_vertices() && !planted; ++u) {
     if (u == f.tree.root()) continue;
-    auto& values = CandidateListTestPeer::values(&f.index.at(u).te);
-    for (auto& vals : values) {
+    auto& te = f.index.at(u).te;
+    for (std::size_t i = 0; i < te.num_keys(); ++i) {
+      std::span<VertexId> vals = CandidateListTestPeer::values(&te, i);
       if (vals.size() >= 2) {
         std::reverse(vals.begin(), vals.end());
         planted = true;
@@ -184,7 +208,7 @@ TEST(AuditIndexTest, DetectsDanglingCandidateEdge) {
     auto& te = f.index.at(u).te;
     if (te.num_keys() == 0) continue;
     const VertexId key = CandidateListTestPeer::keys(&te)[0];
-    CandidateListTestPeer::values(&te)[0] = {key};
+    CandidateListTestPeer::SetValues(&te, 0, {key});
     planted = true;
   }
   ASSERT_TRUE(planted);
@@ -210,7 +234,7 @@ TEST(AuditIndexTest, DetectsStaleValueAfterRefinement) {
     const auto& cands = f.index.at(u).candidates;
     for (VertexId v : f.data.neighbors(key)) {
       if (!std::binary_search(cands.begin(), cands.end(), v)) {
-        CandidateListTestPeer::values(&te)[0] = {v};
+        CandidateListTestPeer::SetValues(&te, 0, {v});
         planted = true;
         break;
       }
@@ -232,10 +256,7 @@ TEST(AuditIndexTest, DetectsBrokenEmptyKeyCascade) {
     if (u == f.tree.root()) continue;
     auto& te = f.index.at(u).te;
     if (te.num_keys() == 0) continue;
-    CandidateListTestPeer::keys(&te).erase(
-        CandidateListTestPeer::keys(&te).begin());
-    CandidateListTestPeer::values(&te).erase(
-        CandidateListTestPeer::values(&te).begin());
+    CandidateListTestPeer::EraseKey(&te, 0);
     planted = true;
   }
   ASSERT_TRUE(planted);
@@ -449,9 +470,11 @@ TEST(AuditFlatIndexTest, DetectsDriftFromThePointerIndex) {
   for (VertexId u = 0; u < f.query.num_vertices() && !planted; ++u) {
     if (u == f.tree.root()) continue;
     auto& te = f.index.at(u).te;
-    for (auto& vals : CandidateListTestPeer::values(&te)) {
+    for (std::size_t i = 0; i < te.num_keys(); ++i) {
+      std::span<VertexId> vals = CandidateListTestPeer::values(&te, i);
       if (vals.size() >= 2) {
-        vals.pop_back();
+        CandidateListTestPeer::SetValues(
+            &te, i, std::vector<VertexId>(vals.begin(), vals.end() - 1));
         planted = true;
         break;
       }

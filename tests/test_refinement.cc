@@ -1,11 +1,16 @@
 // Dedicated tests for reverse-BFS refinement and cardinality (§3.3).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "ceci/ceci_builder.h"
 #include "ceci/enumerator.h"
 #include "ceci/refinement.h"
 #include "ceci/symmetry.h"
+#include "gen/labels.h"
 #include "gen/paper_queries.h"
+#include "gen/query_gen.h"
 #include "gen/random_graphs.h"
 #include "test_support.h"
 
@@ -187,6 +192,146 @@ TEST(RefinementTest, SaturationOnDenseGraph) {
   RefineCeci(b.tree, data.num_vertices(), &b.index, &stats);
   EXPECT_GT(stats.total_cardinality, 0u);
   EXPECT_LE(stats.total_cardinality, kCardinalityCap);
+}
+
+// Test-local reference refinement: the §3.3 recurrence with one
+// binary-search Find per (candidate, tree child), ordered maps for the
+// cardinalities, and its own compaction into key -> value-set maps.
+using ListModel = std::map<VertexId, std::vector<VertexId>>;
+
+struct ReferenceRefined {
+  std::vector<std::vector<VertexId>> candidates;
+  std::vector<std::vector<Cardinality>> cardinalities;
+  std::vector<ListModel> te;
+  std::vector<std::vector<ListModel>> nte;
+  RefineStats stats;
+};
+
+ReferenceRefined ReferenceRefine(const QueryTree& tree,
+                                 const CeciIndex& index) {
+  const std::size_t nq = tree.num_vertices();
+  ReferenceRefined ref;
+  ref.candidates.resize(nq);
+  ref.cardinalities.resize(nq);
+  ref.te.resize(nq);
+  ref.nte.resize(nq);
+  std::vector<std::map<VertexId, Cardinality>> card(nq);
+  const auto& order = tree.matching_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const VertexId u = *it;
+    const CeciVertexData& ud = index.at(u);
+    std::vector<std::set<VertexId>> nte_union;
+    for (const CandidateList& list : ud.nte) {
+      const std::vector<VertexId> all = list.UnionOfValues();
+      nte_union.emplace_back(all.begin(), all.end());
+    }
+    for (VertexId v : ud.candidates) {
+      Cardinality c = 1;
+      for (const auto& in : nte_union) {
+        if (in.count(v) == 0) c = 0;
+      }
+      for (VertexId u_c : tree.children(u)) {
+        if (c == 0) break;
+        Cardinality sum = 0;
+        for (VertexId v_c : index.at(u_c).te.Find(v)) {
+          const auto found = card[u_c].find(v_c);
+          if (found != card[u_c].end()) sum = SaturatingAdd(sum, found->second);
+        }
+        c = SaturatingMul(c, sum);
+      }
+      if (c == 0) {
+        ++ref.stats.pruned_candidates;
+        continue;
+      }
+      card[u][v] = c;
+      ref.candidates[u].push_back(v);
+      ref.cardinalities[u].push_back(c);
+    }
+  }
+  auto compact = [&](const CandidateList& list, VertexId key_owner,
+                     VertexId value_owner) {
+    ListModel kept;
+    for (std::size_t i = 0; i < list.num_keys(); ++i) {
+      const auto vals = list.values_at(i);
+      if (card[key_owner].count(list.keys()[i]) == 0) {
+        ref.stats.pruned_edges += vals.size();
+        continue;
+      }
+      std::vector<VertexId> alive;
+      for (VertexId v : vals) {
+        if (card[value_owner].count(v) != 0) alive.push_back(v);
+      }
+      ref.stats.pruned_edges += vals.size() - alive.size();
+      if (!alive.empty()) kept.emplace(list.keys()[i], std::move(alive));
+    }
+    return kept;
+  };
+  for (VertexId u = 0; u < nq; ++u) {
+    if (u != tree.root()) ref.te[u] = compact(index.at(u).te, tree.parent(u), u);
+    const auto nte_ids = tree.nte_in(u);
+    for (std::size_t k = 0; k < index.at(u).nte.size(); ++k) {
+      ref.nte[u].push_back(compact(index.at(u).nte[k],
+                                   tree.non_tree_edges()[nte_ids[k]].parent,
+                                   u));
+    }
+  }
+  for (Cardinality c : ref.cardinalities[tree.root()]) {
+    ref.stats.total_cardinality = SaturatingAdd(ref.stats.total_cardinality, c);
+  }
+  return ref;
+}
+
+ListModel AsModel(const CandidateList& list) {
+  ListModel model;
+  for (std::size_t i = 0; i < list.num_keys(); ++i) {
+    const auto vals = list.values_at(i);
+    model.emplace(list.keys()[i], std::vector<VertexId>(vals.begin(),
+                                                        vals.end()));
+  }
+  return model;
+}
+
+// RefineCeci looks each child's TE list up by a merge walk over the sorted
+// candidates and keys; it must agree with the binary-search reference on
+// candidates, cardinalities, compacted lists and every RefineStats counter.
+TEST(RefinementTest, MergeWalkMatchesBinarySearchReference) {
+  const Graph data =
+      AssignMultiLabels(GenerateSocialGraph(1200, 8, 31), 4, 2, 32);
+  std::size_t checked = 0;
+  std::size_t with_nte = 0;
+  std::uint64_t pruned = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    QueryGenOptions qo;
+    qo.num_vertices = 4 + seed % 4;
+    qo.seed = seed;
+    const auto query = GenerateQuery(data, qo);
+    ASSERT_TRUE(query.has_value()) << "seed " << seed;
+    Built b(data, *query, static_cast<VertexId>(seed % qo.num_vertices));
+    const ReferenceRefined ref = ReferenceRefine(b.tree, b.index);
+    RefineStats stats;
+    RefineCeci(b.tree, data.num_vertices(), &b.index, &stats);
+    for (VertexId u = 0; u < query->num_vertices(); ++u) {
+      const CeciVertexData& ud = b.index.at(u);
+      EXPECT_EQ(ud.candidates, ref.candidates[u]) << "seed " << seed;
+      EXPECT_EQ(ud.cardinalities, ref.cardinalities[u]) << "seed " << seed;
+      if (u != b.tree.root()) {
+        EXPECT_EQ(AsModel(ud.te), ref.te[u]) << "seed " << seed;
+      }
+      ASSERT_EQ(ud.nte.size(), ref.nte[u].size());
+      for (std::size_t k = 0; k < ud.nte.size(); ++k) {
+        EXPECT_EQ(AsModel(ud.nte[k]), ref.nte[u][k]) << "seed " << seed;
+      }
+    }
+    EXPECT_EQ(stats.pruned_candidates, ref.stats.pruned_candidates);
+    EXPECT_EQ(stats.pruned_edges, ref.stats.pruned_edges);
+    EXPECT_EQ(stats.total_cardinality, ref.stats.total_cardinality);
+    ++checked;
+    if (b.tree.num_non_tree_edges() > 0) ++with_nte;
+    pruned += stats.pruned_candidates;
+  }
+  EXPECT_GE(checked, 10u);
+  EXPECT_GT(with_nte, 0u) << "no generated query had a non-tree edge";
+  EXPECT_GT(pruned, 0u) << "no generated query exercised pruning";
 }
 
 }  // namespace
