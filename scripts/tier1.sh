@@ -302,11 +302,12 @@ fi
 if [[ "$serving_pass" == 1 ]]; then
   echo "=== serving pass (concurrency, admission control, protocol) ==="
   # -R matches gtest suite names: the shared-pool concurrency suite
-  # (test_concurrent_matching), QueryService admission control, and the
-  # wire protocol / workload / latency-summary suites. Under --preset
-  # tsan this is the data-race gate for the serving layer.
+  # (test_concurrent_matching), QueryService admission control, the TCP
+  # front end (thread reaping, line cap), and the wire protocol /
+  # workload / latency-summary suites. Under --preset tsan this is the
+  # data-race gate for the serving layer.
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R '(TaskGroup|ThreadPool|ConcurrentMatching|QueryService|Protocol|Workload|Zipf|LatencySummary|Exposition|WindowDelta|WindowedAggregator|Slo|AccessLog|JsonParser|ServerTelemetry|TelemetryHttp)' -j
+    -R '(TaskGroup|ThreadPool|ConcurrentMatching|QueryService|TcpServer|Protocol|Workload|Zipf|LatencySummary|Exposition|WindowDelta|WindowedAggregator|Slo|AccessLog|JsonParser|ServerTelemetry|TelemetryHttp)' -j
 
   serving_tmp="$(mktemp -d)"
   trap 'rm -rf "$serving_tmp"' EXIT

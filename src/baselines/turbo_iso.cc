@@ -27,10 +27,8 @@ class TurboIsoEngine {
         visitor_(visitor),
         result_(result) {
     const std::size_t nq = query.num_vertices();
-    profiles_.resize(nq);
-    for (VertexId u = 0; u < nq; ++u) {
-      profiles_[u] = NlcIndex::Profile(query, u);
-    }
+    needs_.reserve(nq);
+    for (VertexId u = 0; u < nq; ++u) needs_.push_back(nlc.NeedOf(query, u));
     if (options.boosted) {
       memo_.assign(nq, std::vector<Memo>(data.num_vertices(), Memo::kUnknown));
     }
@@ -69,17 +67,19 @@ class TurboIsoEngine {
     if (options_.boosted) {
       Memo& m = memo_[u][v];
       if (m != Memo::kUnknown) return m == Memo::kPass;
-      ++result_->filter_evaluations;
-      bool pass = data_.degree(v) >= query_.degree(u) &&
-                  data_.HasAllLabels(v, query_.labels(u)) &&
-                  nlc_.Covers(v, profiles_[u]);
+      const bool pass = Filter(u, v);
       m = pass ? Memo::kPass : Memo::kFail;
       return pass;
     }
+    return Filter(u, v);
+  }
+
+  // LF, DF, then the same signature-first NLC test as preprocessing.
+  bool Filter(VertexId u, VertexId v) {
     ++result_->filter_evaluations;
     return data_.degree(v) >= query_.degree(u) &&
            data_.HasAllLabels(v, query_.labels(u)) &&
-           nlc_.Covers(v, profiles_[u]);
+           nlc_.Passes(v, needs_[u]);
   }
 
   // Builds the candidate region of pivot v_s: per query vertex a TE-style
@@ -190,7 +190,7 @@ class TurboIsoEngine {
 
   QueryTree tree_;
   SymmetryConstraints symmetry_;
-  std::vector<std::vector<NlcIndex::Entry>> profiles_;
+  std::vector<NlcIndex::Need> needs_;
   std::vector<std::vector<Memo>> memo_;
   std::vector<CandidateList> region_;
   std::vector<std::vector<VertexId>> region_candidates_;

@@ -22,19 +22,36 @@ Label ScanLabel(const Graph& data, const Graph& query, VertexId u) {
   return best;
 }
 
+// What the filters need of query vertex u, prepared once per scan.
+struct QueryVertexFilter {
+  QueryVertexFilter(const NlcIndex& data_nlc, const Graph& query, VertexId u)
+      : labels(query.labels(u)),
+        degree(query.degree(u)),
+        nlc(data_nlc.NeedOf(query, u)) {}
+
+  std::span<const Label> labels;
+  std::size_t degree;
+  NlcIndex::Need nlc;
+};
+
 // The one implementation of the filters: label containment, degree, NLC,
 // in that order. `v` comes from u's scan-label bucket, so it already
-// carries u's label when u has only one.
+// carries u's label when u has only one. Degree and NLC are combined
+// arithmetically rather than by early returns: where the signature is
+// exact, Passes is one compare, and the scan then has no branch on data
+// it cannot predict.
 FilterVerdict Verdict(const Graph& data, const NlcIndex& data_nlc,
-                      const Graph& query, VertexId u,
-                      std::span<const NlcIndex::Entry> u_profile, VertexId v) {
-  const std::span<const Label> need = query.labels(u);
-  if (need.size() > 1 && !data.HasAllLabels(v, need)) {
+                      const QueryVertexFilter& u, VertexId v) {
+  static_assert(static_cast<std::uint8_t>(FilterVerdict::kRejectDegree) == 1 &&
+                    static_cast<std::uint8_t>(FilterVerdict::kRejectNlc) == 2 &&
+                    static_cast<std::uint8_t>(FilterVerdict::kPass) == 3,
+                "the verdict is 1 + deg_ok + (deg_ok & nlc_ok)");
+  if (u.labels.size() > 1 && !data.HasAllLabels(v, u.labels)) {
     return FilterVerdict::kRejectLabel;
   }
-  if (data.degree(v) < query.degree(u)) return FilterVerdict::kRejectDegree;
-  if (!data_nlc.Covers(v, u_profile)) return FilterVerdict::kRejectNlc;
-  return FilterVerdict::kPass;
+  const unsigned deg_ok = data.degree(v) >= u.degree;
+  const unsigned nlc_ok = data_nlc.Passes(v, u.nlc);
+  return static_cast<FilterVerdict>(1 + deg_ok + (deg_ok & nlc_ok));
 }
 
 }  // namespace
@@ -52,14 +69,13 @@ FilterVerdicts ComputeFilterVerdicts(const Graph& data,
   out.bytes.resize(nq * nd);
   if (pass_counts != nullptr) pass_counts->assign(nq, 0);
   for (VertexId u = 0; u < nq; ++u) {
-    const auto profile = NlcIndex::Profile(query, u);
+    const QueryVertexFilter filter(data_nlc, query, u);
     std::uint8_t* row = out.bytes.data() + u * nd;
     std::size_t passed = 0;
     for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
-      const FilterVerdict verdict =
-          Verdict(data, data_nlc, query, u, profile, v);
+      const FilterVerdict verdict = Verdict(data, data_nlc, filter, v);
       row[v] = static_cast<std::uint8_t>(verdict);
-      if (verdict == FilterVerdict::kPass) ++passed;
+      passed += verdict == FilterVerdict::kPass;
     }
     if (pass_counts != nullptr) (*pass_counts)[u] = passed;
   }
@@ -69,11 +85,10 @@ FilterVerdicts ComputeFilterVerdicts(const Graph& data,
 std::vector<VertexId> CollectCandidates(const Graph& data,
                                         const NlcIndex& data_nlc,
                                         const Graph& query, VertexId u) {
-  auto profile = NlcIndex::Profile(query, u);
+  const QueryVertexFilter filter(data_nlc, query, u);
   std::vector<VertexId> out;
   for (VertexId v : data.VerticesWithLabel(ScanLabel(data, query, u))) {
-    if (Verdict(data, data_nlc, query, u, profile, v) ==
-        FilterVerdict::kPass) {
+    if (Verdict(data, data_nlc, filter, v) == FilterVerdict::kPass) {
       out.push_back(v);
     }
   }

@@ -26,17 +26,46 @@ NlcIndex::NlcIndex(const Graph& g) {
     for (Label l : labels) count[l] = 0;
     offsets_[v + 1] = offsets_[v] + labels.size();
   }
-  // Fill pass: each vertex's runs are written in place, sorted by label.
+  // Fill pass: each vertex's runs are written in place, sorted by label,
+  // and folded into its signature.
   entries_.resize(offsets_[n]);
+  signatures_.resize(n);
+  signatures_exact_ = g.num_labels() <= kSignatureBuckets;
   Entry* out = entries_.data();
   for (VertexId v = 0; v < n; ++v) {
     gather(v);
     std::sort(labels.begin(), labels.end());
+    Entry* const first = out;
     for (Label l : labels) {
       *out++ = Entry{l, count[l]};
       count[l] = 0;
     }
+    signatures_[v] = Signature({first, out});
   }
+}
+
+std::uint64_t NlcIndex::Signature(std::span<const Entry> runs) {
+  std::uint64_t sig = 0;
+  for (const Entry& e : runs) {
+    const unsigned shift = 8 * (e.label % kSignatureBuckets);
+    const std::uint64_t byte = (sig >> shift) & 0xFF;
+    const std::uint64_t sum = std::min<std::uint64_t>(byte + e.count, 0xFF);
+    sig += (sum - byte) << shift;  // sum >= byte: no carry out of the byte
+  }
+  return sig;
+}
+
+NlcIndex::Need NlcIndex::NeedOf(const Graph& query, VertexId u) const {
+  Need need;
+  need.profile = Profile(query, u);
+  need.signature = Signature(need.profile);
+  need.signature_exact =
+      signatures_exact_ &&
+      std::all_of(need.profile.begin(), need.profile.end(),
+                  [](const Entry& e) {
+                    return e.label < kSignatureBuckets && e.count < 0xFF;
+                  });
+  return need;
 }
 
 bool NlcIndex::Covers(VertexId v, std::span<const Entry> required) const {

@@ -27,6 +27,9 @@
 // a slow response can be joined to its server-side records. Present
 // whenever the server assigned one (always, for ceci_serve).
 //
+// A request line longer than kMaxRequestLineBytes (without its LF) is
+// answered `ERR line_too_long` and the connection is closed.
+//
 // `termination` is the TerminationReason name (util/budget.h) — a partial
 // answer is always labelled (deadline, limit, cancelled, memory_budget).
 // Parsing of both directions lives here so the server, the load
@@ -34,6 +37,7 @@
 #ifndef CECI_SERVE_PROTOCOL_H_
 #define CECI_SERVE_PROTOCOL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -41,6 +45,9 @@
 #include "util/status.h"
 
 namespace ceci {
+
+/// Longest request line the server buffers, in bytes.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 enum class RequestKind { kMatch, kStats, kPing, kQuit };
 

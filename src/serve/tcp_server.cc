@@ -27,6 +27,11 @@ Gauge& LiveConnectionGauge() {
       MetricsRegistry::Global().GetGauge("ceci.serve.live_connections");
   return g;
 }
+Gauge& ConnectionThreadGauge() {
+  static Gauge& g =
+      MetricsRegistry::Global().GetGauge("ceci.serve.connection_threads");
+  return g;
+}
 Counter& AcceptErrorCounter() {
   static Counter& c =
       MetricsRegistry::Global().GetCounter("ceci.serve.accept_errors");
@@ -123,6 +128,7 @@ void TcpServer::AcceptLoop(int listen_fd) {
     }
     ConnectionCounter().Increment();
     MutexLock lock(mutex_);
+    ReapFinished();
     if (stopping_.load(std::memory_order_acquire) ||
         live_fds_.size() >= options_.max_connections) {
       SendLine(fd, "ERR too_many_connections");
@@ -131,11 +137,27 @@ void TcpServer::AcceptLoop(int listen_fd) {
     }
     live_fds_.insert(fd);
     LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
-    conn_threads_.emplace_back(&TcpServer::ServeConnection, this, fd);
+    const std::uint64_t id = next_conn_id_++;
+    conn_threads_.emplace(
+        id, std::thread(&TcpServer::ServeConnection, this, id, fd));
+    ConnectionThreadGauge().Set(
+        static_cast<std::int64_t>(conn_threads_.size()));
   }
 }
 
-void TcpServer::ServeConnection(int fd) {
+void TcpServer::ReapFinished() {
+  // Joining under mutex_ cannot deadlock: a thread in finished_ has left
+  // its last critical section and only closes its fd before returning.
+  for (std::uint64_t id : finished_) {
+    auto it = conn_threads_.find(id);
+    it->second.join();
+    conn_threads_.erase(it);
+  }
+  finished_.clear();
+  ConnectionThreadGauge().Set(static_cast<std::int64_t>(conn_threads_.size()));
+}
+
+void TcpServer::ServeConnection(std::uint64_t id, int fd) {
   std::string buffer;
   char chunk[4096];
   bool open = true;
@@ -144,16 +166,24 @@ void TcpServer::ServeConnection(int fd) {
     if (n <= 0) break;
     buffer.append(chunk, static_cast<std::size_t>(n));
     std::size_t newline;
-    while (open && (newline = buffer.find('\n')) != std::string::npos) {
+    // npos (no line end yet) is above the cap too.
+    while (open &&
+           (newline = buffer.find('\n')) <= kMaxRequestLineBytes) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       open = HandleLine(fd, line);
+    }
+    // Whatever is left has no line end within the cap.
+    if (open && buffer.size() > kMaxRequestLineBytes) {
+      SendLine(fd, "ERR line_too_long");
+      open = false;
     }
   }
   {
     MutexLock lock(mutex_);
     live_fds_.erase(fd);
     LiveConnectionGauge().Set(static_cast<std::int64_t>(live_fds_.size()));
+    finished_.push_back(id);  // joined by the next accept, or by Stop()
   }
   ::close(fd);
 }
@@ -199,18 +229,17 @@ void TcpServer::Stop() {
   // Claim the connection threads under the lock, then join outside it:
   // exiting connection threads take mutex_ to drop out of live_fds_, so
   // joining while holding it would deadlock. The accept thread is already
-  // joined, so nothing appends to conn_threads_ after the swap and a
+  // joined, so nothing adds to conn_threads_ after the swap and a
   // repeated Stop() finds it empty.
-  std::vector<std::thread> to_join;
+  std::map<std::uint64_t, std::thread> to_join;
   {
     MutexLock lock(mutex_);
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
     to_join.swap(conn_threads_);
   }
   // Threads close their own fds on the way out.
-  for (std::thread& t : to_join) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [id, t] : to_join) t.join();
+  ConnectionThreadGauge().Set(0);
 }
 
 }  // namespace ceci

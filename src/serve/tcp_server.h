@@ -11,6 +11,8 @@
 #define CECI_SERVE_TCP_SERVER_H_
 
 #include <atomic>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -36,8 +38,10 @@ struct TcpServerOptions {
   const ServerTelemetry* telemetry = nullptr;
 };
 
-/// Owns the listening socket and one thread per live connection. The
-/// service must outlive the server.
+/// Owns the listening socket and one thread per live connection. A
+/// connection thread that has finished is joined at the next accept, so
+/// the threads held never exceed max_connections (gauge
+/// ceci.serve.connection_threads). The service must outlive the server.
 class TcpServer {
  public:
   TcpServer(QueryService& service, const TcpServerOptions& options);
@@ -63,7 +67,11 @@ class TcpServer {
   /// Takes the listener by value so Stop() closing/resetting listen_fd_
   /// never races the accept thread's reads of it.
   void AcceptLoop(int listen_fd);
-  void ServeConnection(int fd);
+  void ServeConnection(std::uint64_t id, int fd);
+  /// Joins the connection threads that have recorded themselves finished.
+  /// Runs in the admission critical section, so a connection is admitted
+  /// only after every thread that has left live_fds_ is joined.
+  void ReapFinished() CECI_REQUIRES(mutex_);
   /// Handles one request line; false ends the connection (QUIT).
   bool HandleLine(int fd, const std::string& line);
 
@@ -77,7 +85,11 @@ class TcpServer {
   std::thread accept_thread_;
   Mutex mutex_;
   std::set<int> live_fds_ CECI_GUARDED_BY(mutex_);
-  std::vector<std::thread> conn_threads_ CECI_GUARDED_BY(mutex_);
+  /// Connection threads by connection id, live or finished-unjoined.
+  std::map<std::uint64_t, std::thread> conn_threads_ CECI_GUARDED_BY(mutex_);
+  /// Ids of connection threads that are exiting and can be joined.
+  std::vector<std::uint64_t> finished_ CECI_GUARDED_BY(mutex_);
+  std::uint64_t next_conn_id_ CECI_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace ceci

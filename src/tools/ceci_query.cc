@@ -72,6 +72,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "analysis/invariant_auditor.h"
@@ -361,6 +362,19 @@ int main(int argc, char** argv) {
   }
 
   std::printf("data:  %s\n", data->Summary().c_str());
+  // The single-process matcher owns the data-side filter index; --dist
+  // workers build their own.
+  std::optional<CeciMatcher> matcher;
+  if (args.dist_workers == 0) {
+    matcher.emplace(*data);
+    if (args.stats) {
+      const NlcIndex& nlc = matcher->nlc_index();
+      std::printf("filter index: %zu bytes NLC entries, %zu bytes "
+                  "signatures, signatures %s\n",
+                  nlc.entry_bytes(), nlc.signature_bytes(),
+                  nlc.signatures_exact() ? "exact" : "prefilter");
+    }
+  }
   std::printf("query: %s  (%s)\n", query->Summary().c_str(),
               FormatPattern(*query).c_str());
 
@@ -538,7 +552,6 @@ int main(int argc, char** argv) {
     options.budget.check_stride = 64;
   }
 
-  CeciMatcher matcher(*data);
   std::atomic<std::uint64_t> seen{0};
   EmbeddingVisitor visitor = [&](std::span<const VertexId> m) {
     if (args.print) {
@@ -556,7 +569,7 @@ int main(int argc, char** argv) {
     return true;
   };
   const bool need_visitor = args.print || args.cancel_after > 0;
-  auto result = matcher.Match(*query, options,
+  auto result = matcher->Match(*query, options,
                               need_visitor ? &visitor : nullptr);
   if (!result.ok()) {
     std::fprintf(stderr, "match: %s\n", result.status().ToString().c_str());

@@ -1,6 +1,8 @@
 // Unit tests for the Graph CSR representation, builder, and NLC index.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/labels.h"
 #include "gen/random_graphs.h"
 #include "graph/graph.h"
@@ -174,8 +176,116 @@ TEST(NlcIndexTest, MatchesProfileOnSeededMultiLabelGraph) {
     }
     total += expected.size();
   }
-  EXPECT_EQ(index.MemoryBytes(), (g.num_vertices() + 1) * sizeof(EdgeId) +
+  EXPECT_EQ(index.entry_bytes(), (g.num_vertices() + 1) * sizeof(EdgeId) +
                                      total * sizeof(NlcIndex::Entry));
+  EXPECT_EQ(index.signature_bytes(), g.num_vertices() * sizeof(std::uint64_t));
+  EXPECT_EQ(index.MemoryBytes(), index.entry_bytes() + index.signature_bytes());
+}
+
+// Byte b of a signature, as a count.
+unsigned SignatureByte(std::uint64_t sig, unsigned b) {
+  return static_cast<unsigned>((sig >> (8 * b)) & 0xFF);
+}
+
+TEST(NlcIndexTest, SignatureCoversComparesEveryByteUnsigned) {
+  // Bytes on both sides of the 0x80 boundary, where a plain subtraction
+  // would borrow or a signed compare would flip.
+  const unsigned values[] = {0, 1, 2, 126, 127, 128, 129, 200, 254, 255};
+  for (unsigned have : values) {
+    for (unsigned need : values) {
+      for (unsigned b = 0; b < NlcIndex::kSignatureBuckets; ++b) {
+        // The tested byte sits between bytes that pass either way.
+        const std::uint64_t fill_have = 0x8080808080808080ULL;
+        const std::uint64_t fill_need = 0x7F7F7F7F7F7F7F7FULL;
+        const std::uint64_t clear = ~(std::uint64_t{0xFF} << (8 * b));
+        const std::uint64_t h =
+            (fill_have & clear) | (std::uint64_t{have} << (8 * b));
+        const std::uint64_t n =
+            (fill_need & clear) | (std::uint64_t{need} << (8 * b));
+        ASSERT_EQ(NlcIndex::SignatureCovers(h, n), have >= need)
+            << have << " vs " << need << " in byte " << b;
+      }
+    }
+  }
+}
+
+TEST(NlcIndexTest, SignatureFoldsLabelsIntoSaturatingBuckets) {
+  const std::vector<NlcIndex::Entry> runs = {
+      {1, 3}, {9, 4}, {2, 250}, {10, 10}, {7, 300}};
+  const std::uint64_t sig = NlcIndex::Signature(runs);
+  EXPECT_EQ(SignatureByte(sig, 0), 0u);
+  EXPECT_EQ(SignatureByte(sig, 1), 7u);    // labels 1 and 9 share bucket 1
+  EXPECT_EQ(SignatureByte(sig, 2), 255u);  // 250 + 10 saturates
+  EXPECT_EQ(SignatureByte(sig, 7), 255u);  // 300 saturates on its own
+}
+
+// A signature reject is always a Covers reject, whatever the label count;
+// with at most eight labels, labels below eight and counts below 255, the
+// signature alone gives Covers' answer.
+TEST(NlcIndexTest, SignatureIsSoundAndExactWhereStated) {
+  struct Case {
+    std::size_t labels;
+    std::size_t per_vertex;
+  };
+  for (const Case c : {Case{4, 1}, Case{8, 1}, Case{8, 3}, Case{12, 1},
+                       Case{60, 3}}) {
+    const Graph data = AssignMultiLabels(GenerateSocialGraph(800, 6, 5),
+                                         c.labels, c.per_vertex, 21);
+    const Graph queries = AssignMultiLabels(GenerateSocialGraph(200, 4, 6),
+                                            c.labels + 3, c.per_vertex, 22);
+    NlcIndex index(data);
+    EXPECT_EQ(index.signatures_exact(), c.labels <= 8);
+    std::size_t decided_by_signature = 0;
+    for (VertexId u = 0; u < queries.num_vertices(); ++u) {
+      const NlcIndex::Need need = index.NeedOf(queries, u);
+      const bool small_labels = std::all_of(
+          need.profile.begin(), need.profile.end(),
+          [](const NlcIndex::Entry& e) { return e.label < 8; });
+      EXPECT_EQ(need.signature_exact, c.labels <= 8 && small_labels);
+      for (VertexId v = 0; v < data.num_vertices(); ++v) {
+        const bool covers = index.Covers(v, need.profile);
+        const bool sig =
+            NlcIndex::SignatureCovers(index.signature(v), need.signature);
+        ASSERT_TRUE(sig || !covers) << "unsound reject u" << u << " v" << v;
+        if (need.signature_exact) {
+          ASSERT_EQ(sig, covers) << "inexact u" << u << " v" << v;
+          ++decided_by_signature;
+        }
+        ASSERT_EQ(index.Passes(v, need), covers) << "u" << u << " v" << v;
+      }
+    }
+    if (c.labels <= 8) {
+      EXPECT_GT(decided_by_signature, 0u);
+    }
+  }
+}
+
+TEST(NlcIndexTest, SaturatedCountsFallBackToTheMerge) {
+  // Hub 0 has 300 label-1 leaves; hub 1 has 256. Both saturate byte 1, so
+  // a need of 300 cannot be told from the signature.
+  std::vector<Label> labels = {0, 0};
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId leaf = 2; leaf < 302; ++leaf) {
+    labels.push_back(1);
+    edges.emplace_back(0, leaf);
+    if (leaf < 258) edges.emplace_back(1, leaf);
+  }
+  Graph data = MakeGraph(labels, edges);
+  NlcIndex index(data);
+  EXPECT_EQ(SignatureByte(index.signature(0), 1), 255u);
+  EXPECT_EQ(SignatureByte(index.signature(1), 1), 255u);
+  // The query is hub 0's star itself: its centre needs 300 label-1
+  // neighbours.
+  const NlcIndex::Need need = index.NeedOf(data, 0);
+  EXPECT_FALSE(need.signature_exact);
+  EXPECT_TRUE(NlcIndex::SignatureCovers(index.signature(1), need.signature));
+  EXPECT_FALSE(index.Passes(1, need));
+  EXPECT_TRUE(index.Passes(0, need));
+  // 254 is below saturation, so that need stays exact.
+  std::vector<std::pair<VertexId, VertexId>> star;
+  for (VertexId leaf = 1; leaf < 255; ++leaf) star.emplace_back(0, leaf);
+  EXPECT_TRUE(index.NeedOf(MakeGraph(std::vector<Label>(255, 1), star), 0)
+                  .signature_exact);
 }
 
 }  // namespace

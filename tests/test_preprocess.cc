@@ -2,7 +2,16 @@
 // selection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <string>
+
 #include "ceci/preprocess.h"
+#include "gen/labels.h"
+#include "gen/query_gen.h"
+#include "gen/random_graphs.h"
+#include "graph/graph_builder.h"
 #include "test_support.h"
 
 namespace ceci {
@@ -151,6 +160,225 @@ TEST(PreprocessTest, MultiLabelScanUsesRarestBucket) {
   EXPECT_EQ(pre->candidate_counts[0], 1u);  // only v7
   EXPECT_EQ(CollectCandidates(*data, nlc, *query, 0),
             std::vector<VertexId>{7});
+}
+
+// ---- Differential verdict test ------------------------------------------
+//
+// ComputeFilterVerdicts (signature-first NLC, branch-free scans) against
+// the filters' definition: label containment, degree, and the exact merge
+// Covers, evaluated for every (query vertex, data vertex) pair.
+
+FilterVerdict ReferenceVerdict(const Graph& data, const NlcIndex& nlc,
+                               const Graph& query, VertexId u,
+                               std::span<const NlcIndex::Entry> profile,
+                               VertexId v) {
+  if (!data.HasAllLabels(v, query.labels(u))) {
+    return FilterVerdict::kRejectLabel;
+  }
+  if (data.degree(v) < query.degree(u)) return FilterVerdict::kRejectDegree;
+  if (!nlc.Covers(v, profile)) return FilterVerdict::kRejectNlc;
+  return FilterVerdict::kPass;
+}
+
+// Copies `g` and adds hubs: hub k joins the first hub_degrees[k] vertices
+// that carry label `leaf_label`, so its count of that label saturates a
+// signature byte once it reaches 255, and `padding` vertices of
+// `pad_label`, so the degree filter lets it through to the NLC test.
+Graph WithHubs(const Graph& g, Label hub_label, Label leaf_label,
+               Label pad_label, std::size_t padding,
+               const std::vector<std::size_t>& hub_degrees) {
+  GraphBuilder builder;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (Label l : g.labels(v)) builder.AddLabel(v, l);
+    for (VertexId w : g.neighbors(v)) {
+      if (v < w) builder.AddEdge(v, w);
+    }
+  }
+  const auto leaves = g.VerticesWithLabel(leaf_label);
+  const auto pads = g.VerticesWithLabel(pad_label);
+  CECI_CHECK(padding <= pads.size());
+  for (std::size_t k = 0; k < hub_degrees.size(); ++k) {
+    const VertexId hub = static_cast<VertexId>(g.num_vertices() + k);
+    builder.AddLabel(hub, hub_label);
+    CECI_CHECK(hub_degrees[k] <= leaves.size());
+    for (std::size_t i = 0; i < hub_degrees[k]; ++i) {
+      builder.AddEdge(hub, leaves[i]);
+    }
+    for (std::size_t i = 0; i < padding; ++i) builder.AddEdge(hub, pads[i]);
+  }
+  auto out = builder.Build();
+  CECI_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
+// A connected random query: a path plus random chords. Each vertex draws
+// one to three labels from `pool`, which mixes data labels with labels the
+// data graph lacks.
+Graph RandomQuery(std::size_t n, const std::vector<Label>& pool,
+                  std::mt19937_64& rng) {
+  GraphBuilder builder;
+  std::uniform_int_distribution<std::size_t> pick(0, pool.size() - 1);
+  std::uniform_int_distribution<VertexId> vertex(
+      0, static_cast<VertexId>(n - 1));
+  for (VertexId u = 0; u < n; ++u) {
+    const std::size_t labels = rng() % 4 == 0 ? 1 + rng() % 3 : 1;
+    for (std::size_t i = 0; i < labels; ++i) builder.AddLabel(u, pool[pick(rng)]);
+    if (u > 0) builder.AddEdge(u - 1, u);
+  }
+  for (std::size_t i = 0; i < n / 2; ++i) {
+    const VertexId a = vertex(rng), b = vertex(rng);
+    if (a != b) builder.AddEdge(a, b);
+  }
+  auto out = builder.Build();
+  CECI_CHECK(out.ok()) << out.status().ToString();
+  return std::move(out).value();
+}
+
+// A star whose centre needs `leaves` neighbours of `leaf_label`.
+Graph StarQuery(Label center_label, Label leaf_label, std::size_t leaves) {
+  std::vector<Label> labels = {center_label};
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId leaf = 1; leaf <= leaves; ++leaf) {
+    labels.push_back(leaf_label);
+    edges.emplace_back(0, leaf);
+  }
+  return MakeGraph(labels, edges);
+}
+
+struct DifferentialTally {
+  std::array<std::size_t, 4> verdicts{};
+  std::size_t exact_needs = 0;
+  std::size_t inexact_needs = 0;
+};
+
+void ExpectVerdictsMatchReference(const Graph& data, const NlcIndex& nlc,
+                                  const Graph& query, const std::string& what,
+                                  DifferentialTally* tally) {
+  std::vector<std::size_t> counts;
+  const FilterVerdicts got = ComputeFilterVerdicts(data, nlc, query, &counts);
+  ASSERT_EQ(got.bytes.size(), query.num_vertices() * data.num_vertices());
+  ASSERT_EQ(counts.size(), query.num_vertices());
+  for (VertexId u = 0; u < query.num_vertices(); ++u) {
+    (nlc.NeedOf(query, u).signature_exact ? tally->exact_needs
+                                          : tally->inexact_needs)++;
+    const auto profile = NlcIndex::Profile(query, u);
+    std::size_t passed = 0;
+    for (VertexId v = 0; v < data.num_vertices(); ++v) {
+      const FilterVerdict want =
+          ReferenceVerdict(data, nlc, query, u, profile, v);
+      ASSERT_EQ(got.at(u, v), want) << what << ": u" << u << " v" << v;
+      ++tally->verdicts[static_cast<std::uint8_t>(want)];
+      passed += want == FilterVerdict::kPass;
+    }
+    ASSERT_EQ(counts[u], passed) << what << ": u" << u;
+    const auto collected = CollectCandidates(data, nlc, query, u);
+    ASSERT_EQ(collected.size(), passed) << what << ": u" << u;
+    ASSERT_EQ(PassingCandidates(data, query, got, u), collected)
+        << what << ": u" << u;
+  }
+  auto pre = Preprocess(data, nlc, query, PreprocessOptions{});
+  ASSERT_TRUE(pre.ok()) << what;
+  EXPECT_EQ(pre->candidate_counts, counts) << what;
+}
+
+// Runs extracted and random queries over `data`; `pool` feeds the random
+// queries' labels.
+DifferentialTally RunDifferential(const Graph& data,
+                                  const std::vector<Label>& pool,
+                                  std::uint64_t seed,
+                                  const std::string& what) {
+  NlcIndex nlc(data);
+  DifferentialTally tally;
+  for (std::size_t size : {3, 5, 8}) {
+    QueryGenOptions options;
+    options.num_vertices = size;
+    options.seed = seed + size;
+    for (const Graph& q : GenerateQueries(data, 3, options)) {
+      ExpectVerdictsMatchReference(data, nlc, q,
+                                   what + " extracted|" + std::to_string(size),
+                                   &tally);
+    }
+  }
+  std::mt19937_64 rng(seed);
+  for (int i = 0; i < 12; ++i) {
+    ExpectVerdictsMatchReference(data, nlc,
+                                 RandomQuery(2 + i % 6, pool, rng),
+                                 what + " random#" + std::to_string(i), &tally);
+  }
+  return tally;
+}
+
+// Data labels [0, n) plus labels the data lacks: below eight where n < 8
+// (they share a bucket with nothing) and at or above n.
+std::vector<Label> LabelPool(std::size_t n) {
+  std::vector<Label> pool;
+  for (Label l = 0; l < n; ++l) pool.push_back(l);
+  for (Label l = static_cast<Label>(n); l < 8; ++l) pool.push_back(l);
+  pool.push_back(static_cast<Label>(n));
+  pool.push_back(static_cast<Label>(n + 9));
+  pool.push_back(200);
+  return pool;
+}
+
+TEST(PreprocessDifferentialTest, FewLabelsSignatureIsExact) {
+  for (std::size_t labels : {1, 4, 8}) {
+    const Graph data =
+        AssignRandomLabels(GenerateSocialGraph(1200, 6, 31), labels, 32);
+    const DifferentialTally t = RunDifferential(
+        data, LabelPool(labels), 33, std::to_string(labels) + " labels");
+    EXPECT_GT(t.exact_needs, 0u);
+    EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kPass)], 0u);
+    EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kRejectDegree)], 0u);
+    if (labels > 1) {
+      EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kRejectNlc)], 0u);
+    }
+  }
+}
+
+TEST(PreprocessDifferentialTest, SharedBucketsFallBackToCovers) {
+  for (std::size_t labels : {9, 12, 40, 100}) {
+    const Graph data =
+        AssignRandomLabels(GenerateSocialGraph(1200, 6, 41), labels, 42);
+    const DifferentialTally t = RunDifferential(
+        data, LabelPool(labels), 43, std::to_string(labels) + " labels");
+    EXPECT_EQ(t.exact_needs, 0u);
+    EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kPass)], 0u);
+    EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kRejectNlc)], 0u);
+  }
+}
+
+TEST(PreprocessDifferentialTest, MultiLabelDataAndQueryVertices) {
+  for (std::size_t labels : {6, 30}) {
+    const Graph data =
+        AssignMultiLabels(GenerateSocialGraph(1200, 6, 51), labels, 3, 52);
+    const DifferentialTally t = RunDifferential(
+        data, LabelPool(labels), 53, std::to_string(labels) + " multi");
+    EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kPass)], 0u);
+    EXPECT_GT(t.verdicts[static_cast<int>(FilterVerdict::kRejectNlc)], 0u);
+  }
+}
+
+TEST(PreprocessDifferentialTest, SaturatedHubCounts) {
+  // Hubs with 254..400 label-1 neighbours (and 100 more of label 2, so
+  // degree passes); star queries need 253..300 of them, straddling the
+  // byte's saturation at 255.
+  for (std::size_t labels : {4, 12}) {
+    const Graph base =
+        AssignRandomLabels(GenerateSocialGraph(6000, 4, 61), labels, 62);
+    const Graph data = WithHubs(base, 0, 1, 2, 100, {254, 255, 256, 300, 400});
+    NlcIndex nlc(data);
+    DifferentialTally tally;
+    for (std::size_t leaves : {253, 254, 255, 256, 300}) {
+      ExpectVerdictsMatchReference(
+          data, nlc, StarQuery(0, 1, leaves),
+          std::to_string(labels) + " labels star " + std::to_string(leaves),
+          &tally);
+    }
+    EXPECT_GT(tally.verdicts[static_cast<int>(FilterVerdict::kPass)], 0u);
+    EXPECT_GT(tally.verdicts[static_cast<int>(FilterVerdict::kRejectNlc)], 0u);
+    RunDifferential(data, LabelPool(labels), 63,
+                    std::to_string(labels) + " labels with hubs");
+  }
 }
 
 }  // namespace

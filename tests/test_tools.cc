@@ -70,6 +70,15 @@ TEST_F(ToolsTest, GenerateThenQuery) {
   std::string out = Slurp(File("out.txt"));
   EXPECT_NE(out.find("embeddings:"), std::string::npos);
   EXPECT_NE(out.find("clusters:"), std::string::npos);
+  // The data-side filter index: 8 B of signature per data vertex, exact
+  // on a 4-label graph.
+  const std::size_t filter = out.find("\nfilter index: ");
+  ASSERT_NE(filter, std::string::npos) << out;
+  EXPECT_LT(out.find("data:"), filter);
+  EXPECT_NE(out.find("bytes NLC entries, 16000 bytes signatures, "
+                     "signatures exact\n", filter),
+            std::string::npos)
+      << out;
 }
 
 TEST_F(ToolsTest, QueryLimitAndPrint) {
